@@ -15,6 +15,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
+from host import CPUS, peak_rss_mb
 from repro.cluster.config import RackConfig, SystemType
 from repro.cluster.rack import Rack
 from repro.experiments.runner import RackResult, run_rack_experiment
@@ -24,9 +25,6 @@ from repro.net.latency import profile_by_name as net_profile_by_name
 from repro.workloads.spec import ycsb
 
 perf = time.perf_counter
-#: The CPUs this process may use; successive racks take turns on them
-#: (see ``run.py`` on the shared host).
-CPUS = sorted(os.sched_getaffinity(0))
 SERVERS, PAIRS, IOPS_PER_PAIR = 4, 4, 1500.0
 #: Requests per pair of one rack: 10k requests, which run GC about 30
 #: times per rack.
@@ -117,19 +115,11 @@ def stats_ms(result: RackResult) -> float:
     return statistics.median(times)
 
 
-def peak_rss_mb() -> float:
-    with open("/proc/self/status") as handle:
-        for line in handle:
-            if line.startswith("VmHWM:"):
-                return int(line.split()[1]) / 1024.0
-    raise RuntimeError("no VmHWM in /proc status")
-
-
 def run_untraced(seed: int, seconds: float) -> Dict[str, Any]:
     """The end-to-end run: pooled racks plus a repeat of the first.
 
-    ``throughput_rps`` is that of the fastest rack; the latencies pool
-    every request of the pooled racks.
+    ``throughput_rps`` is every rack's requests over their host run time;
+    the latencies pool every request of the pooled racks.
     """
     racks = pooled_racks(seconds)
     wall0, cpu0 = perf(), time.process_time()
@@ -153,7 +143,7 @@ def run_untraced(seed: int, seconds: float) -> Dict[str, Any]:
     writes = [v for r in pooled for v in r.result.metrics.write_total.values]
     every = reads + writes
     metrics = {
-        "throughput_rps": max(completed(r.result) / r.run_s for r in runs),
+        "throughput_rps": done / sum(r.run_s for r in runs),
         "p50_ms": pct(every, 50) / 1e3,
         "p99_ms": pct(every, 99) / 1e3,
         "ok_frac": 1.0 - sum(failures.values()) / attempted,

@@ -1,4 +1,4 @@
-"""Live workloads: a served rack driven over TCP by one generator process.
+"""The live workload: served racks driven over TCP by one generator process.
 
 The server is the program as shipped (``python -m repro.cli serve``).
 This process is the only client.  It opens at most two connections and
@@ -8,8 +8,8 @@ starts; while a phase is timed the generator only builds frames from
 them and counts response frames.  Responses are decoded and checked
 after the phase.
 
-Phases, in order: (kv only) an untimed load that puts every key and an
-untimed warm-up that gets every key; one untimed warm-up round; then
+Phases, in order: an untimed load that puts every key and an untimed
+warm-up that gets every key; one untimed warm-up round; then
 ``ROUNDS`` times a closed-loop capacity phase followed by an open-loop
 phase at one fixed rate on a seeded Poisson schedule, each operation
 timed from its due time; then several ``stats`` calls.
@@ -32,6 +32,7 @@ from array import array
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+from host import CPUS, peak_rss_mb
 from repro.metrics.percentiles import percentile as pct
 from repro.service import protocol
 from repro.service.loadgen import ZipfSampler
@@ -42,13 +43,23 @@ CLK_TCK = os.sysconf("SC_CLK_TCK")
 CONNECTIONS = 2
 SETUPS = 5
 STATS_CALLS = 21
-#: Share of ``--seconds`` the open-loop phases last.
-OPEN_SHARE = 0.5
-#: The closed and open phases alternate this many times, so that the
-#: rounds a figure is chosen from are spread over the whole run.  At 30
-#: seconds an open-loop round lasts one second, which leaves at least ten
-#: samples beyond its p99.
+#: The closed and open phases alternate this many times, and the server
+#: and the generator trade CPUs every round (``swap_cpus``), so that each
+#: phase kind samples both CPUs over the whole run.
 ROUNDS = 15
+#: Open-loop percentiles are taken per window of this many consecutive
+#: operations, which leaves ten samples beyond a window's p99.  The
+#: median over windows is reported: on the shared host a CPU stalls for
+#: 5 to 100 ms, a few times a second in bad stretches, and the share of
+#: operations such stalls delay -- hence a p99 pooled over the run --
+#: changes several-fold from one run to the next.
+WINDOW_OPS = 1000
+#: A window counts only if the generator sent 99% of its operations
+#: within this many ms of their due time; otherwise the generator itself
+#: stalled, the window did not offer the fixed rate, and its latencies
+#: time the stall (every reply is read late too).  Sending in ticks
+#: leaves an on-time generator about 1.1 ms late at its 99th percentile.
+LATE_LIMIT_MS = 2.0
 
 
 @dataclass
@@ -57,12 +68,12 @@ class LiveSpec:
 
     name: str
     serve_args: List[str]
-    binary: bool
-    tenants: Optional[List[str]]      # one connection per tenant, or None
+    tenants: List[str]                # one connection per tenant
     window: int                       # closed-loop pipeline depth per connection
     closed_ops_per_s: int             # closed-loop op count per --seconds
     open_rate: float                  # open-loop offered load, ops/s
-    kv_keys: int = 0                  # 0: raw read/write workload
+    open_share: float                 # share of --seconds the open loop lasts
+    kv_keys: int                      # keys loaded, then read
 
 
 TENANT_SPEC = json.dumps({
@@ -70,22 +81,14 @@ TENANT_SPEC = json.dumps({
     "cache_capacity": 4096,
 })
 
-RAW_RW = LiveSpec(
-    name="raw-rw",
-    serve_args=["--servers", "2", "--pairs", "4"],
-    binary=False, tenants=None, window=16,
-    closed_ops_per_s=1400, open_rate=1000.0,
-)
-RAW_PAIRS, RAW_LPNS, RAW_WRITE_RATIO = 4, 1024, 0.3
-
 KV_CACHED = LiveSpec(
     name="kv-cached",
     serve_args=["--servers", "2", "--pairs", "4", "--racks", "2",
                 "--tenants", TENANT_SPEC],
-    binary=True, tenants=["gold", "bronze"], window=128,
-    closed_ops_per_s=25000, open_rate=10000.0, kv_keys=1024,
+    tenants=["gold", "bronze"], window=512,
+    closed_ops_per_s=40000, open_rate=10000.0, open_share=0.25, kv_keys=1024,
 )
-SPECS = {spec.name: spec for spec in (RAW_RW, KV_CACHED)}
+SPECS = {KV_CACHED.name: KV_CACHED}
 ZIPF_S = 1.1
 #: Pipeline depth of the kv load and warm-up phases.  Every op there
 #: reaches the simulator, and a deep window would exceed a tenant's fair
@@ -162,13 +165,6 @@ class ServerProcess:
             fields = handle.read().rsplit(")", 1)[1].split()
         return (int(fields[11]) + int(fields[12])) / CLK_TCK
 
-    def peak_rss_mb(self) -> float:
-        with open(f"/proc/{self.proc.pid}/status") as handle:
-            for line in handle:
-                if line.startswith("VmHWM:"):
-                    return int(line.split()[1]) / 1024.0
-        raise RuntimeError("no VmHWM in /proc status")
-
     def stop(self) -> Tuple[int, str]:
         """SIGTERM, wait for the drain; returns (exit code, stdout)."""
         if self.proc.poll() is None:
@@ -200,16 +196,14 @@ def served_count(stdout: str) -> Optional[Tuple[int, int]]:
 class Ops:
     """One phase's operations, with ids ``base .. base + len - 1``.
 
-    ``codes`` holds one int per op: a key index for kv ops, or
-    ``(lpn * RAW_PAIRS + pair) * 2 + is_write`` for raw ops.
+    ``codes`` holds the key index of each op.
     """
 
-    def __init__(self, kind: str, codes: array, base: int, binary: bool,
+    def __init__(self, kind: str, codes: array, base: int,
                  keys: List[str], values: Dict[str, str]) -> None:
         self.kind = kind
         self.codes = codes
         self.base = base
-        self.binary = binary
         self.keys = keys
         self.values = values
         self._templates: Dict[int, bytes] = {}
@@ -218,20 +212,13 @@ class Ops:
         return len(self.codes)
 
     def message(self, i: int) -> Dict[str, Any]:
-        code = self.codes[i]
         rid = self.base + i
-        if self.kind == "raw":
-            return {"type": "write" if code & 1 else "read",
-                    "pair": (code >> 1) % RAW_PAIRS, "lpn": (code >> 1) // RAW_PAIRS,
-                    "id": rid}
-        key = self.keys[code]
+        key = self.keys[self.codes[i]]
         if self.kind == "put":
             return {"type": "put", "key": key, "value": self.values[key], "id": rid}
         return {"type": "get", "key": key, "id": rid}
 
     def frame(self, i: int) -> bytes:
-        if not self.binary:
-            return protocol.encode_frame(self.message(i))
         # A binary frame carries its id in header bytes 4..8: encode one
         # frame per code, then patch each op's id in.
         code = self.codes[i]
@@ -266,10 +253,10 @@ class OpFactory:
         self.next_id = 1
         self.keys = [f"k{i:06d}" for i in range(spec.kv_keys)]
         self.values = {key: f"v{seed}-{key}" for key in self.keys}
-        self.zipf = ZipfSampler(spec.kv_keys, ZIPF_S, self.rng) if spec.kv_keys else None
+        self.zipf = ZipfSampler(spec.kv_keys, ZIPF_S, self.rng)
 
     def _ops(self, kind: str, codes: array) -> Ops:
-        ops = Ops(kind, codes, self.next_id, self.spec.binary, self.keys, self.values)
+        ops = Ops(kind, codes, self.next_id, self.keys, self.values)
         self.next_id += len(codes)
         return ops
 
@@ -279,37 +266,12 @@ class OpFactory:
     def warm_up(self) -> Ops:
         return self._ops("get", array("l", range(len(self.keys))))
 
-    def mixed(self, count: int) -> Ops:
-        if self.zipf is not None:
-            sample = self.zipf.sample
-            return self._ops("get", array("l", (sample() for _ in range(count))))
-        rng = self.rng
-        codes = array("l")
-        for _ in range(count):
-            is_write = rng.random() < RAW_WRITE_RATIO
-            code = rng.randrange(RAW_LPNS) * RAW_PAIRS + rng.randrange(RAW_PAIRS)
-            codes.append(code * 2 + is_write)
-        return self._ops("raw", codes)
+    def gets(self, count: int) -> Ops:
+        sample = self.zipf.sample
+        return self._ops("get", array("l", (sample() for _ in range(count))))
 
 
 # ------------------------------------------------------------- generator
-
-
-def count_frames(buf: bytearray) -> Tuple[int, int]:
-    """``(bytes, frames)`` of the complete frames at the front of ``buf``."""
-    pos, end, frames = 0, len(buf), 0
-    while end - pos >= 4:
-        if buf[pos] == protocol.BIN_MAGIC:
-            if end - pos < protocol.BIN_HEADER_BYTES:
-                break
-            total = protocol.BIN_HEADER_BYTES + ((buf[pos + 2] << 8) | buf[pos + 3])
-        else:
-            total = 4 + int.from_bytes(buf[pos:pos + 4], "big")
-        if end - pos < total:
-            break
-        pos += total
-        frames += 1
-    return pos, frames
 
 
 class Conn(asyncio.Protocol):
@@ -317,7 +279,7 @@ class Conn(asyncio.Protocol):
 
     def __init__(self) -> None:
         self.transport: Optional[asyncio.Transport] = None
-        self.buf = bytearray()
+        self.splitter = protocol.FrameSplitter()
         #: (arrival time, bytes) of each read that finished frames.
         self.received: List[Tuple[float, bytes]] = []
         self.on_frames = None
@@ -328,13 +290,11 @@ class Conn(asyncio.Protocol):
 
     def data_received(self, data: bytes) -> None:
         now = perf()
-        self.buf += data
-        consumed, frames = count_frames(self.buf)
+        frames = self.splitter.feed(data)
         if frames:
-            self.received.append((now, bytes(self.buf[:consumed])))
-            del self.buf[:consumed]
+            self.received.append((now, b"".join(frames)))
             if self.on_frames is not None:
-                self.on_frames(frames)
+                self.on_frames(len(frames))
 
     def connection_lost(self, exc) -> None:
         self.lost = exc or ConnectionError("server closed the connection")
@@ -373,7 +333,7 @@ class PhaseResult:
     ok: int = 0
     failures: Dict[str, int] = field(default_factory=dict)
     #: Open loop: latency of each acknowledged op from its due time, in
-    #: due order, and how late the generator sent each op.
+    #: due order, and how late the generator sent it.
     latencies_ms: List[float] = field(default_factory=list)
     late_ms: List[float] = field(default_factory=list)
 
@@ -405,7 +365,9 @@ def settle(conns: List[Conn], ops: Ops, phase: PhaseResult,
     if missing:
         phase.fail("no reply", missing)
     if latencies is not None:
-        phase.latencies_ms = [v for v in latencies if not math.isnan(v)]
+        kept = [i for i, v in enumerate(latencies) if not math.isnan(v)]
+        phase.latencies_ms = [latencies[i] for i in kept]
+        phase.late_ms = [phase.late_ms[i] for i in kept]
 
 
 def dealt(ops: Ops, ways: int) -> List[List[int]]:
@@ -513,8 +475,37 @@ class LiveRun:
         return [p for p in self.phases if p.name.startswith(kind + "-")]
 
     def closed_rate(self) -> float:
-        """Acknowledged ops per wall second in the fastest closed-loop round."""
-        return max(p.ok / p.wall_s for p in self.rounds("closed"))
+        """Acknowledged ops per wall second over every closed-loop round."""
+        closed = self.rounds("closed")
+        return sum(p.ok for p in closed) / sum(p.wall_s for p in closed)
+
+    def open_latencies_ms(self) -> List[float]:
+        """Every open-loop round's latencies, pooled."""
+        return [v for p in self.rounds("open") for v in p.latencies_ms]
+
+    def open_windows(self) -> List[Tuple[List[float], bool]]:
+        """The open-loop latencies cut into windows, and which were on time.
+
+        The rounds' latencies, in due order, are cut into windows of about
+        ``WINDOW_OPS`` consecutive operations; a window is on time when
+        the generator kept to ``LATE_LIMIT_MS``.
+        """
+        lat = self.open_latencies_ms()
+        late = [v for p in self.rounds("open") for v in p.late_ms]
+        parts = max(1, len(lat) // WINDOW_OPS)
+        size = len(lat) / parts
+        cuts = [round(i * size) for i in range(parts + 1)]
+        return [(lat[a:b], pct(late[a:b], 99) <= LATE_LIMIT_MS)
+                for a, b in zip(cuts, cuts[1:])]
+
+    def window_percentile(self, q: float) -> float:
+        """Median over the on-time windows of each window's ``q``-th percentile.
+
+        Every window counts when none was on time.
+        """
+        windows = self.open_windows()
+        counted = [lat for lat, on_time in windows if on_time] or [lat for lat, _ in windows]
+        return statistics.median(pct(lat, q) for lat in counted)
 
 
 async def _drive(spec: LiveSpec, seed: int, seconds: float, server: ServerProcess
@@ -524,13 +515,9 @@ async def _drive(spec: LiveSpec, seed: int, seconds: float, server: ServerProces
     for index in range(CONNECTIONS):
         _, conn = await loop.create_connection(Conn, "127.0.0.1", server.port)
         conns.append(conn)
-        hello: Dict[str, Any] = {"type": "hello", "id": 0}
-        if spec.binary:
-            hello["v"] = protocol.PROTOCOL_VERSION
-        if spec.tenants:
-            hello["tenant"] = spec.tenants[index]
-        _, reply = await conn.request(hello)
-        if not reply.get("ok") or (spec.binary and "bin" not in reply.get("capabilities", [])):
+        _, reply = await conn.request({"type": "hello", "id": 0, "tenant": spec.tenants[index],
+                                       "v": protocol.PROTOCOL_VERSION})
+        if not reply.get("ok") or "bin" not in reply.get("capabilities", []):
             raise RuntimeError(f"hello refused: {reply}")
     # The first stats call opens the window a traced server reports on.
     await conns[0].request({"type": "stats", "id": 0})
@@ -554,36 +541,31 @@ async def _drive(spec: LiveSpec, seed: int, seconds: float, server: ServerProces
             await closed_loop(conns, ops, window)
         return run
 
-    if spec.kv_keys:
-        await timed("load", factory.load(), closed(LOAD_WINDOW))
-        await timed("warm-up", factory.warm_up(), closed(LOAD_WINDOW))
+    await timed("load", factory.load(), closed(LOAD_WINDOW))
+    await timed("warm-up", factory.warm_up(), closed(LOAD_WINDOW))
     schedule = random.Random(seed * 7919 + 1)
 
     async def run_open(phase: PhaseResult, ops: Ops) -> array:
         return await open_loop(conns, ops, spec.open_rate, schedule, phase)
 
     closed_ops = int(spec.closed_ops_per_s * seconds / ROUNDS)
-    open_ops = int(spec.open_rate * seconds * OPEN_SHARE / ROUNDS)
+    open_ops = int(spec.open_rate * seconds * spec.open_share / ROUNDS)
     # The first round after start-up runs slow; it is not timed.
-    await timed("warm-closed", factory.mixed(closed_ops), closed(spec.window))
-    await timed("warm-open", factory.mixed(open_ops), run_open)
+    await timed("warm-closed", factory.gets(closed_ops), closed(spec.window))
+    await timed("warm-open", factory.gets(open_ops), run_open)
     for round_no in range(1, ROUNDS + 1):
         swap_cpus(server, round_no)
-        await timed(f"closed-{round_no}", factory.mixed(closed_ops), closed(spec.window))
-        await timed(f"open-{round_no}", factory.mixed(open_ops), run_open)
+        await timed(f"closed-{round_no}", factory.gets(closed_ops), closed(spec.window))
+        await timed(f"open-{round_no}", factory.gets(open_ops), run_open)
 
     stats_ms, stats = [], {}
     for _ in range(STATS_CALLS):
         elapsed, stats = await conns[0].request({"type": "stats", "id": 0})
         stats_ms.append(elapsed * 1e3)
-    rss = server.peak_rss_mb()
+    rss = peak_rss_mb(server.proc.pid)
     for conn in conns:
         conn.transport.close()
     return phases, stats_ms, stats, rss
-
-
-#: The CPUs this process may use, read before it pins itself.
-CPUS = sorted(os.sched_getaffinity(0))
 
 
 def swap_cpus(server: ServerProcess, round_no: int) -> None:
@@ -605,11 +587,10 @@ def split_cpus() -> List[int]:
     CPU, which the scheduler otherwise does now and then, halving the
     throughput of a run.  On one CPU both share it.
     """
-    cpus = sorted(os.sched_getaffinity(0))
-    if len(cpus) < 2:
-        return cpus
-    os.sched_setaffinity(0, cpus[:1])
-    return cpus[1:]
+    if len(CPUS) < 2:
+        return CPUS
+    os.sched_setaffinity(0, CPUS[:1])
+    return CPUS[1:]
 
 
 def run_live(spec: LiveSpec, seed: int, seconds: float, workdir: str, tag: str,
@@ -663,11 +644,10 @@ def run_live(spec: LiveSpec, seed: int, seconds: float, workdir: str, tag: str,
 
 
 def end_to_end(run: LiveRun, setup_times: List[float]) -> Dict[str, float]:
-    rounds = run.rounds("open")
     return {
         "throughput_rps": run.closed_rate(),
-        "p50_ms": min(pct(p.latencies_ms, 50) for p in rounds),
-        "p99_ms": min(pct(p.latencies_ms, 99) for p in rounds),
+        "p50_ms": run.window_percentile(50),
+        "p99_ms": run.window_percentile(99),
         "ok_frac": 1.0 - run.failed / run.attempted,
         "setup_s": statistics.median(setup_times),
         "rss_mb": run.rss_mb,

@@ -2,11 +2,10 @@
 
 Run from the root of a checkout::
 
-    python3 perfbench/run.py --workload raw-rw --seed 1 --seconds 30 --trace 0
+    python3 perfbench/run.py --workload kv-cached --seed 1 --seconds 30 --trace 0
 
 Workloads (``BENCHMARK.json`` says why each was chosen):
 
-* ``raw-rw``     -- one served rack, v1 JSON wire, raw read/write 70/30;
 * ``kv-cached``  -- two in-process racks behind the tenant QoS gate and
   the DRAM read cache, binary wire, zipf KV gets of loaded keys;
 * ``sim-ycsb50`` -- the batch engine, no service layers.
@@ -24,36 +23,37 @@ every correctness check passed.
 
 Every workload reports every end-to-end metric:
 
-* ``throughput_rps`` -- live: acknowledged ops per wall second in the
-  fastest closed-loop round; batch: simulated requests per host second
-  in the fastest rack, set-up excluded.
-* ``p50_ms``, ``p99_ms`` -- live: open-loop latency from each op's due
-  time, in the open-loop round where it is lowest; batch: the simulated
-  latency of every request, the paper's own metric.
-
+* ``throughput_rps`` -- live: acknowledged ops per wall second over
+  every closed-loop round; batch: simulated requests per host second
+  over every rack, set-up excluded.
+* ``p50_ms``, ``p99_ms`` -- live: open-loop latency, each op timed from
+  its due time, as the median over windows of 1000 consecutive ops of
+  each window's percentile, counting the windows in which the generator
+  kept its schedule (``live.WINDOW_OPS`` and ``live.LATE_LIMIT_MS`` say
+  why); batch: the simulated latency of every request, the paper's own
+  metric.
 * ``ok_frac`` -- the share of attempted ops acknowledged and checked
   correct (errors, BUSY, TIMEOUT and failed checks count against it).
 * ``setup_s`` -- median over several set-ups: process start to the first
   successful ``hello`` (live), or rack built and preconditioned (batch).
 * ``rss_mb`` -- peak RSS (``VmHWM``) of the server or the batch process.
 
-The shared host runs each CPU about 1.75 times slower in stretches of
-seconds to tens of seconds.  A total over a run moves with how much of
-the run fell in such stretches, by up to a fifth between runs; the best
-round of a run does not, as long as some round missed them.  So the
-live figures come from the best round and the batch throughput from the
-fastest rack, and the server and the generator trade CPUs every round
-(``live.swap_cpus``), as successive racks of the batch workload do.
+The server and the generator sit on opposite CPUs and trade them every
+round, as successive racks of the batch workload do, because the shared
+host runs one CPU up to 1.75 times slower than the other for seconds at
+a time.
 
 The untraced run also prints, on ``# not gated`` lines, the other
 end-to-end figures: the cost of a ``stats`` call (``stats_ms``), the
-simulated read p99/p999 and write p999, and ``failed_frac``.  They are
-not in ``BENCHMARK.json``: ``stats_ms``, timed in one burst after the
-fixed op count, moves with the shared host's speed by more than any
-bound the benchmark may set; the simulated tails of a served rack move
-with how fast the host pumps the model (the batch workload's p50/p99
-are the simulated latency); and ``failed_frac`` is 0 on every correct
-run, which a metric may not be (``ok_frac`` is reported instead).
+simulated read p99/p999 and write p999, the live open-loop p99 pooled
+over the whole run, and ``failed_frac``.  They are not in
+``BENCHMARK.json``: ``stats_ms``, timed in one burst after the fixed op
+count, and the pooled p99, set by how many host stalls a run meets,
+move between runs by more than any bound the benchmark may set; the
+simulated tails of a served rack move with how fast the host pumps the
+model (the batch workload's p50/p99 are the simulated latency); and
+``failed_frac`` is 0 on every correct run, which a metric may not be
+(``ok_frac`` is reported instead).
 """
 
 import argparse
@@ -74,38 +74,18 @@ RUN_LIMIT_S = 165
 SATURATED = 0.75
 
 
-def git_commit(root: str) -> str:
-    """HEAD of the checkout's own ``.git``, without looking above it."""
-    git = os.path.join(root, ".git")
-    try:
-        with open(os.path.join(git, "HEAD")) as handle:
-            head = handle.read().strip()
-        if not head.startswith("ref: "):
-            return head
-        ref = head[5:]
-        path = os.path.join(git, ref)
-        if os.path.exists(path):
-            with open(path) as handle:
-                return handle.read().strip()
-        with open(os.path.join(git, "packed-refs")) as handle:
-            for line in handle:
-                if line.rstrip().endswith(" " + ref):
-                    return line.split()[0]
-    except OSError:
-        pass
-    return "unknown"
-
-
 #: The simulated tail latencies the paper reports, in the rack model's
 #: stats (live) or over the pooled racks (batch).
 SIM_TAILS = ("read_p99_us", "read_p999_us", "write_p999_us")
 
 
 def print_header(args) -> None:
+    import host
+
     print(f"# perfbench workload={args.workload} seed={args.seed} seconds={args.seconds} "
           f"trace={args.trace}")
     print(f"# nproc={os.cpu_count()} python={platform.python_version()} "
-          f"commit={git_commit(os.getcwd())}")
+          f"commit={host.git_commit(os.getcwd())}")
 
 
 def print_phases(tag: str, phases) -> None:
@@ -117,7 +97,8 @@ def print_phases(tag: str, phases) -> None:
         tail = ""
         if p.latencies_ms:
             tail = (f" p50 {live.pct(p.latencies_ms, 50):.4f} "
-                    f"p99 {live.pct(p.latencies_ms, 99):.4f}")
+                    f"p99 {live.pct(p.latencies_ms, 99):.4f} "
+                    f"late p99 {live.pct(p.late_ms, 99):.4f}")
         print(f"# [{tag}] phase {p.name:8s} ops {p.ops:7d} ok {p.ok:7d} "
               f"wall {p.wall_s:7.3f}s server cpu_util {server:5.2f} "
               f"generator cpu_util {gen:5.2f}{tail}")
@@ -172,10 +153,14 @@ def live_untraced(spec, args, workdir: str, deadline: float):
     run, setups = live.run_live(spec, args.seed, args.seconds, workdir, "e2e", deadline,
                                 live.split_cpus(), setups=live.SETUPS)
     print_phases("e2e", run.phases)
+    windows = run.open_windows()
     print(f"# setup_s {[round(s, 4) for s in setups]} served {run.served} "
           f"acked-in-sim {run.acked_in_sim} exit {run.exit_code}")
+    print(f"# open-loop windows {len(windows)}, on time "
+          f"{sum(on_time for _, on_time in windows)}")
     sim = run.stats.get("metrics", {})
-    extra = {"stats_ms": statistics.median(run.stats_ms)}
+    extra = {"stats_ms": statistics.median(run.stats_ms),
+             "p99_pooled_ms": live.pct(run.open_latencies_ms(), 99)}
     for name in SIM_TAILS:
         extra[f"sim_{name}"] = sim.get(name, 0.0)
     return live.end_to_end(run, setups), run.attempted, run.failures, extra
@@ -237,10 +222,8 @@ def main(argv=None) -> int:
               f"{overhead['traced_rps']:.1f} traced ({ratio:.3f}x)")
     failed = sum(failures.values())
     if extra is not None:
-        # The other end-to-end figures, printed but not gated:
-        # stats_ms and the simulated tails spread wider between runs of
-        # a live workload than any bound the benchmark may set, and
-        # failed_frac is 0 on a correct run (reported as ok_frac).
+        # The other end-to-end figures, printed but not gated (see the
+        # module docstring for why).
         extra["failed_frac"] = failed / attempted
         for name, value in extra.items():
             unit = "ratio" if name == "failed_frac" else name.rsplit("_", 1)[1]
