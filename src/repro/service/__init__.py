@@ -16,6 +16,9 @@ GET/PUT/SCAN over a small length-prefixed JSON wire protocol:
   futures when the simulated request finishes;
 * :mod:`repro.service.admission` -- per-client token buckets and the
   global queue-depth cap (``BUSY`` shedding instead of unbounded queues);
+* :mod:`repro.service.frontend` -- the one front-end request chain
+  every front door runs (version, tenant binding, epoch fence, drain,
+  QoS gate, read cache) and its completion records;
 * :mod:`repro.service.server` -- the TCP service with graceful drain;
 * :mod:`repro.service.shard` / :mod:`repro.service.router` -- the
   consistent-hash ring and the multi-rack front-ends built on it;

@@ -57,13 +57,15 @@ from repro.metrics.collector import ExperimentMetrics
 from repro.service import protocol, schema
 from repro.service.admission import AdmissionController
 from repro.service.bridge import BridgeStats, SimTimeBridge
-from repro.service.membership import (
-    FleetController,
-    MembershipBusy,
-    MembershipError,
+from repro.service.frontend import (
+    CONTROL,
+    Completion,
+    FrontEnd,
+    Session,
 )
+from repro.service.membership import FleetController, MembershipError
 from repro.service.migration import MigrationStream, MigrationStreamError
-from repro.service.qos import DEFAULT_TENANT, QosScheduler
+from repro.service.qos import QosScheduler
 from repro.service.readcache import ReadCache
 from repro.service.selector import (
     DEFAULT_EWMA_ALPHA,
@@ -75,7 +77,7 @@ from repro.service.selector import (
     ReplicaStats,
     RoutingTrace,
 )
-from repro.service.server import CACHE_HIT_LATENCY_US, RackService
+from repro.service.server import RackService
 from repro.service.shard import (
     DEFAULT_RING_SEED,
     DEFAULT_VNODES,
@@ -247,11 +249,11 @@ class ShardRouter:
                 self.load_view, policy=read_policy,
                 stale_after_s=stale_after_s, trace=routing_trace,
             )
-        #: Front-end read cache, attached by :class:`ShardedRackService`
-        #: when caching is on.  The router's duty is correctness only:
-        #: invalidate on migration-stream writes (they bypass the
-        #: server's submit path) and fence at every epoch commit.
-        self.read_cache: Optional[ReadCache] = None
+        #: The serving front-end's request chain, attached by
+        #: :class:`ShardedRackService`.  The router's duty to its read
+        #: cache is correctness only: report migration-stream writes
+        #: (they bypass the chain) and every epoch commit.
+        self.frontend: Optional[FrontEnd] = None
         self._after_chunk: Optional[Any] = None
         self._gc_task: Optional["asyncio.Task"] = None
         self._running = False
@@ -764,14 +766,14 @@ class ShardRouter:
 
         async def put(dst: int, key: str, value: str) -> None:
             await self._by_index[dst].bridge.submit_put(key, value, "migrate")
-            if self.read_cache is not None:
-                self.read_cache.invalidate(key)
+            if self.frontend is not None:
+                self.frontend.key_written(key)
 
         async def delete(src: int, key: str) -> None:
             if src in self._by_index:
                 await self._by_index[src].bridge.submit_delete(key, "migrate")
-            if self.read_cache is not None:
-                self.read_cache.invalidate(key)
+            if self.frontend is not None:
+                self.frontend.key_written(key)
 
         return scan, put, delete
 
@@ -868,8 +870,8 @@ class ShardRouter:
                 f"attempt(s): {exc}"
             ) from exc
         epoch = self.fleet.commit()
-        if self.read_cache is not None:
-            self.read_cache.fence(epoch)
+        if self.frontend is not None:
+            self.frontend.epoch_moved(epoch)
         await stream.cleanup(report)
         return {
             "rack": index, "epoch": epoch, "kind": "add",
@@ -913,8 +915,8 @@ class ShardRouter:
                 f"attempt(s): {exc}"
             ) from exc
         epoch = self.fleet.commit()
-        if self.read_cache is not None:
-            self.read_cache.fence(epoch)
+        if self.frontend is not None:
+            self.frontend.epoch_moved(epoch)
         self._deregister_shard(shard)
         await shard.stop(drain=True, drain_timeout_s=drain_timeout_s)
         return {
@@ -985,8 +987,8 @@ class ShardedRackService(RackService):
             qos=qos, read_cache=read_cache,
         )
         self.router = router
-        # The router invalidates on stream writes and fences at commits.
-        router.read_cache = read_cache
+        # The router reports stream writes and commits to the chain.
+        router.frontend = self.frontend
 
     def _capabilities(self) -> List[str]:
         return super()._capabilities() + ["sharded"]
@@ -1008,15 +1010,8 @@ class ShardedRackService(RackService):
     def _fleet_status(self) -> Dict[str, Any]:
         return self.router.fleet.status()
 
-    def _admin_mutation(self, op: str,
-                        request: Dict[str, Any]) -> Optional[Any]:
-        knobs: Dict[str, Any] = {}
-        if "batch_size" in request:
-            knobs["batch_size"] = int(request["batch_size"])
-        if "pause_s" in request:
-            knobs["pause_s"] = float(request["pause_s"])
-        if "max_attempts" in request:
-            knobs["max_attempts"] = int(request["max_attempts"])
+    def _admin_mutation(self, op: str, request: Dict[str, Any],
+                        knobs: Dict[str, Any]) -> Optional[Any]:
         if op == "add_rack":
             return self.router.admit_rack(**knobs)
         if op == "drain_rack":
@@ -1025,10 +1020,7 @@ class ShardedRackService(RackService):
 
     def _stats_payload(self) -> Dict[str, Any]:
         out = self.router.stats_payload()
-        if self.qos is not None:
-            out[schema.SECTION_TENANTS] = self.qos.stats_section()
-        if self.read_cache is not None:
-            out[schema.SECTION_READCACHE] = self.read_cache.stats_section()
+        out.update(self.frontend.stats_sections())
         out[schema.FIELD_CONNECTIONS] = float(self.connections_accepted)
         return out
 
@@ -1039,11 +1031,7 @@ class ShardedRackService(RackService):
 
 _SERVING_RE = re.compile(r"\bon ([0-9.]+):(\d+)\s*$")
 
-#: Request types the proxy meters against a tenant's QoS budget --
-#: everything that reaches a backend's simulated data path.
-_QOS_DATA_TYPES = frozenset(("read", "write", "get", "put", "del", "scan"))
-
-#: Binary opcode -> request type, for the relay's QoS/cache bookkeeping.
+#: Binary opcode -> request type, for the relay's front-end chain.
 _BIN_RTYPE = {
     protocol.OP_READ: "read", protocol.OP_WRITE: "write",
     protocol.OP_GET: "get", protocol.OP_PUT: "put",
@@ -1119,22 +1107,20 @@ class _BackendLink:
 
     def __init__(self, node: int, client_writer: "asyncio.StreamWriter",
                  max_frame_bytes: int,
-                 observer: Optional["ProxyLoadView"] = None,
-                 on_response: Optional[Any] = None) -> None:
+                 observer: Optional["ProxyLoadView"] = None) -> None:
         self.node = node
         self.client_writer = client_writer
         self.max_frame_bytes = max_frame_bytes
         self.observer = observer
-        #: QoS/cache completion hook (``(request_id, frame, latency_us)``,
-        #: frame/latency ``None`` for orphans); ``None`` on plain relays.
-        self.on_response = on_response
         self.reader: Optional["asyncio.StreamReader"] = None
         self.writer: Optional["asyncio.StreamWriter"] = None
         self.relay_task: Optional["asyncio.Task"] = None
-        #: request id -> wall send time; the id's dual role: orphan
-        #: detection (as before) and, with an observer attached, the
-        #: per-backend depth/latency feed the p2c selector reads.
-        self.inflight: Dict[Any, float] = {}
+        #: request id -> ``[(wall send time, completion record)]``, one
+        #: entry per forwarded frame in send order (a client may reuse an
+        #: id while an earlier frame is in flight).  Feeds orphan
+        #: detection, the p2c selector's depth/latency view, and each
+        #: frame's front-end completion.
+        self.inflight: Dict[Any, List[Tuple[float, Completion]]] = {}
         self.relayed = 0
         self.dead = False
 
@@ -1145,13 +1131,13 @@ class _BackendLink:
         )
 
     def send_frames(self, frames: "List[Any]",
-                    request_ids: "List[Any]") -> None:
+                    entries: "List[Tuple[Any, Completion]]") -> None:
         """Forward a batch of already-encoded frames in one write."""
         assert self.writer is not None
         now = time.monotonic()
-        for request_id in request_ids:
+        for request_id, record in entries:
             if request_id is not None:
-                self.inflight[request_id] = now
+                self.inflight.setdefault(request_id, []).append((now, record))
                 if self.observer is not None:
                     self.observer.sent(self.node)
         if not self.writer.is_closing():
@@ -1174,15 +1160,15 @@ class _BackendLink:
                 batch = []
                 for frame in splitter.feed(data):
                     response_id = self._response_id(frame)
-                    if response_id is not None:
-                        sent_at = self.inflight.pop(response_id, None)
-                        if sent_at is not None:
-                            latency_us = (time.monotonic() - sent_at) * 1e6
-                            if self.observer is not None:
-                                self.observer.done(self.node, latency_us)
-                            if self.on_response is not None:
-                                self.on_response(response_id, frame,
-                                                 latency_us)
+                    pending = self.inflight.get(response_id)
+                    if pending:
+                        sent_at, record = pending.pop(0)
+                        if not pending:
+                            del self.inflight[response_id]
+                        latency_us = (time.monotonic() - sent_at) * 1e6
+                        if self.observer is not None:
+                            self.observer.done(self.node, latency_us)
+                        record.relayed(frame, latency_us)
                     batch.append(frame)
                 if batch and not self.client_writer.is_closing():
                     self.client_writer.writelines(batch)
@@ -1194,8 +1180,12 @@ class _BackendLink:
             self.dead = True
             # Orphans get a retryable TIMEOUT: the backend (or its rack)
             # died with their responses; other shards are untouched.
+            orphans = [(request_id, record)
+                       for request_id in sorted(self.inflight, key=str)
+                       for _, record in self.inflight[request_id]]
+            self.inflight.clear()
             if not self.client_writer.is_closing():
-                for request_id in sorted(self.inflight, key=str):
+                for request_id, _ in orphans:
                     self.client_writer.write(protocol.encode_frame(
                         protocol.error_response(
                             protocol.TIMEOUT,
@@ -1203,12 +1193,10 @@ class _BackendLink:
                             request_id,
                         )
                     ))
-            if self.observer is not None and self.inflight:
-                self.observer.lost(self.node, len(self.inflight))
-            if self.on_response is not None:
-                for request_id in list(self.inflight):
-                    self.on_response(request_id, None, None)
-            self.inflight.clear()
+            if self.observer is not None and orphans:
+                self.observer.lost(self.node, len(orphans))
+            for _, record in orphans:
+                record.relayed(None, None)
 
     async def close(self) -> None:
         self.dead = True
@@ -1221,6 +1209,10 @@ class _BackendLink:
             except asyncio.CancelledError:
                 pass
             self.relay_task = None
+
+
+#: Per-socket-read outgoing batches: link -> (frames, (id, record) pairs).
+_Batches = Dict[_BackendLink, Tuple[List[Any], List[Tuple[Any, Completion]]]]
 
 
 class ShardProxy:
@@ -1276,22 +1268,22 @@ class ShardProxy:
         self.drained: Set[int] = set()
         self._server: Optional["asyncio.base_events.Server"] = None
         self._connections: Set["asyncio.Task"] = set()
-        self._admin_tasks: Set["asyncio.Task"] = set()
-        self._draining = False
+        self._admin_tasks: Set["asyncio.Future"] = set()
         self.connections_accepted = 0
         self.routed = 0
         self.unroutable = 0
         self.write_dups = 0
-        #: Load-aware read placement; ``None`` under hash policy, which
-        #: keeps that mode's relay byte-identical to today.
-        #: Multi-tenant QoS + DRAM read cache, proxy flavour: admission
-        #: and cache hits happen here at the front-end (the backends
-        #: keep their own per-client admission), and completions are
-        #: measured at the relay -- wall-clock turnaround, the only
-        #: latency the proxy can see.  Both default off, keeping the
-        #: plain relay byte-identical.
+        #: Multi-tenant QoS + DRAM read cache, proxy flavour: the
+        #: front-end chain runs here (the backends keep their own
+        #: per-client admission), and completions are measured at the
+        #: relay -- wall-clock turnaround, the only latency the proxy
+        #: can see.  Both default off, keeping the plain relay
+        #: byte-identical.
         self.qos = qos
         self.read_cache = read_cache
+        self.frontend = FrontEnd(self, qos, read_cache)
+        #: Load-aware read placement; ``None`` under hash policy, which
+        #: keeps that mode's relay byte-identical to today.
         self.read_policy = read_policy
         self.load_view: Optional[ProxyLoadView] = None
         self.selector: Optional[ReplicaSelector] = None
@@ -1321,7 +1313,7 @@ class ShardProxy:
             await self._server.serve_forever()
 
     async def stop(self) -> None:
-        self._draining = True
+        self.frontend.draining = True
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -1405,12 +1397,7 @@ class ShardProxy:
             self._connections.add(task)
         self.connections_accepted += 1
         links: Dict[int, _BackendLink] = {}
-        # Per-connection tenancy: the hello-declared tenant plus the
-        # response-time actions (QoS completion, cache fill/invalidate)
-        # keyed by request id.  ``hook`` is None on a plain relay, which
-        # keeps that path byte-identical.
-        conn: Dict[str, Any] = {"tenant": DEFAULT_TENANT, "pending": {}}
-        conn["hook"] = self._make_response_hook(conn)
+        session = Session()
         splitter = protocol.FrameSplitter(self.max_frame_bytes)
         try:
             while True:
@@ -1420,17 +1407,17 @@ class ShardProxy:
                 # Per-read batches: every frame bound for the same
                 # backend inside one socket read coalesces into a
                 # single writelines, preserving arrival order per link.
-                batches: Dict[_BackendLink, Tuple[List[Any], List[Any]]] = {}
+                batches: _Batches = {}
                 try:
                     frames = splitter.feed(data)
                     for frame in frames:
                         if protocol.frame_is_binary(frame):
                             await self._begin_binary(frame, writer, links,
-                                                     batches, conn)
+                                                     batches, session)
                         else:
                             await self._begin(
                                 self._parse_json_frame(frame), writer,
-                                links, batches, conn,
+                                links, batches, session,
                             )
                 except protocol.FrameError as exc:
                     writer.write(protocol.encode_frame(
@@ -1472,26 +1459,26 @@ class ShardProxy:
         return request
 
     @staticmethod
-    def _flush_batches(batches: "Dict[_BackendLink, Tuple[List[Any], List[Any]]]",
-                       ) -> None:
-        for link, (frames, request_ids) in batches.items():
+    def _flush_batches(batches: "_Batches") -> None:
+        for link, (frames, entries) in batches.items():
             if not link.dead:
-                link.send_frames(frames, request_ids)
+                link.send_frames(frames, entries)
+                continue
+            for _, record in entries:
+                record.finish(False)
 
     @staticmethod
-    def _enqueue(batches: "Dict[_BackendLink, Tuple[List[Any], List[Any]]]",
-                 link: _BackendLink, frame: Any, request_id: Any) -> None:
+    def _enqueue(batches: "_Batches", link: _BackendLink, frame: Any,
+                 request_id: Any, record: Completion) -> None:
         batch = batches.get(link)
         if batch is None:
             batch = batches[link] = ([], [])
         batch[0].append(frame)
-        batch[1].append(request_id)
+        batch[1].append((request_id, record))
 
     async def _link_for(self, node: int, writer: "asyncio.StreamWriter",
                         links: Dict[int, _BackendLink], request_id: Any,
-                        binary: bool,
-                        conn: Optional[Dict[str, Any]] = None,
-                        ) -> Optional[_BackendLink]:
+                        binary: bool) -> Optional[_BackendLink]:
         """The live link to ``node``, dialing on first use; ``None`` (with
         the error already sent, in the request's codec) if unreachable."""
         link = links.get(node)
@@ -1499,8 +1486,7 @@ class ShardProxy:
             if link is not None:
                 await link.close()
             link = _BackendLink(node, writer, self.max_frame_bytes,
-                                observer=self.load_view,
-                                on_response=(conn or {}).get("hook"))
+                                observer=self.load_view)
             host, port = self.backends[node]
             try:
                 await link.open(host, port)
@@ -1516,111 +1502,49 @@ class ShardProxy:
             links[node] = link
         return link
 
-    # -------------------------------------------------------- tenancy hooks
+    # ------------------------------------------------------ front-end hooks
 
-    def _decode_response(self, frame: Any) -> Optional[Dict[str, Any]]:
-        """Decode one complete response frame (either codec); None if bad."""
-        try:
-            messages = protocol.FrameDecoder(self.max_frame_bytes).feed(
-                bytes(frame)
-            )
-        except protocol.FrameError:
-            return None
-        return messages[0] if messages else None
-
-    def _make_response_hook(self, conn: Dict[str, Any]) -> Optional[Any]:
-        """The relay's completion hook for one client connection.
-
-        ``None`` when the proxy runs without QoS and cache, so the plain
-        relay never decodes a response body.  With either on, tracked
-        responses pay one decode: the QoS ledger needs the ok bit and
-        cache fills need the value.  Dup-written frames carry the same
-        id on two links; the pending entry pops on the first response
-        and the second is a no-op, matching the client's own first-
-        response-wins dedup.
-        """
-        if self.qos is None and self.read_cache is None:
-            return None
-
-        def hook(request_id: Any, frame: Any,
-                 latency_us: Optional[float]) -> None:
-            entry = conn["pending"].pop(request_id, None)
-            if entry is None:
-                return
-            action, key, token, tenant = entry
-            response = (self._decode_response(frame)
-                        if frame is not None else None)
-            ok = bool(response is not None and response.get("ok"))
-            if self.qos is not None:
-                latency_ms = (None if latency_us is None
-                              else latency_us / 1000.0)
-                self.qos.on_complete(tenant, latency_ms, ok=ok)
-            if self.read_cache is None:
-                return
-            if action == "write" and key is not None:
-                # Unconditional on completion -- invalidating on an
-                # errored write is harmless, serving stale is not.
-                self.read_cache.invalidate(key)
-            elif (action == "get" and ok and key is not None
-                    and token is not None and response.get("found")):
-                self.read_cache.fill(key, response.get("value"), tenant,
-                                     token)
-
-        return hook
-
-    def _track(self, conn: Optional[Dict[str, Any]], request_id: Any,
-               rtype: str, key: Optional[str], token: Any,
-               tenant: str) -> None:
-        """Register the response-time QoS/cache actions for one frame."""
-        if conn is None or conn.get("hook") is None or request_id is None:
-            return
+    def _capabilities(self) -> List[str]:
+        caps = ["raw", "kv", "sharded", "proxy", "bin"]
         if self.qos is not None:
-            self.qos.on_submit(tenant)
-        if rtype in ("put", "del"):
-            action = "write"
-        elif rtype == "get":
-            action = "get"
-        else:
-            action = "other"
-        conn["pending"][request_id] = (action, key, token, tenant)
+            caps.append("qos")
+        return caps
 
-    def _qos_shed(self, tenant: str, reply: Any, request_id: Any) -> bool:
-        """Weighted-fair gate; True (with BUSY sent) when shed."""
-        if self.qos is None or self.qos.try_admit(tenant):
-            return False
-        reply(protocol.error_response(
-            protocol.BUSY,
-            f"tenant {tenant!r} is over its QoS budget", request_id,
-        ))
-        return True
+    def _hello_fields(self) -> Dict[str, Any]:
+        fields: Dict[str, Any] = dict(racks=len(self.ring),
+                                      epoch=self.fleet.epoch)
+        # Advertised only when active: hash mode stays byte-identical.
+        if self.selector is not None:
+            fields["read_policy"] = self.read_policy
+        return fields
 
-    def _cache_hit(self, key: str, tenant: str, reply: Any,
-                   request_id: Any) -> Tuple[bool, Any]:
-        """Probe the front-end cache for a ``get``.
+    def _current_epoch(self) -> int:
+        return self.fleet.epoch
 
-        Returns ``(served, fill_token)``; a hit is answered here (in
-        the request's codec, via ``reply``) and still feeds the
-        tenant's SLO window as a near-zero-latency success.
-        """
-        assert self.read_cache is not None
-        hit, value, token = self.read_cache.lookup(key, tenant)
-        if not hit:
-            return False, token
-        if self.qos is not None:
-            self.qos.on_submit(tenant)
-            self.qos.on_complete(tenant, CACHE_HIT_LATENCY_US / 1000.0)
-        reply(protocol.ok_response(
-            request_id, value=value, found=True,
-            latency_us=CACHE_HIT_LATENCY_US,
-        ))
-        return True, None
+    def _fleet_status(self) -> Dict[str, Any]:
+        status = self.fleet.status()
+        status["drained"] = sorted(self.drained)
+        return status
+
+    def _admin_mutation(self, op: str, request: Dict[str, Any],
+                        knobs: Dict[str, Any]) -> Optional[Any]:
+        """``add_rack`` admits an *already-running* backend ``serve``
+        process (the proxy does not spawn processes -- the operator
+        starts it and hands its ``host``/``port`` here); ``drain_rack``
+        streams a backend's keys out, after which the operator may stop
+        the process."""
+        if op == "add_rack":
+            return self._admin_add_rack(request, knobs)
+        if op == "drain_rack":
+            return self._admin_drain_rack(int(request["rack"]), knobs)
+        return None
+
+    # ------------------------------------------------------------- dispatch
 
     async def _begin_binary(self, frame: Any,
                             writer: "asyncio.StreamWriter",
                             links: Dict[int, _BackendLink],
-                            batches: Dict[_BackendLink, Tuple[List[Any], List[Any]]],
-                            conn: Optional[Dict[str, Any]] = None,
-                            ) -> None:
+                            batches: "_Batches", session: Session) -> None:
         """Route one binary frame without decoding it.
 
         The pair/key routing fact sits at a fixed offset
@@ -1628,7 +1552,8 @@ class ShardProxy:
         rewrite -- global to rack-local pair index -- patches 4 bytes in
         place (:func:`~repro.service.protocol.rewrite_bin_pair`).  Key
         ops relay the splitter's memoryview untouched.  Binary frames
-        are v2 by construction, so the version gate does not apply.
+        carry no version, tenant or epoch, so they enter the front-end
+        chain at its drain stage.
         """
         request_id = protocol.frame_request_id(frame)
 
@@ -1636,11 +1561,6 @@ class ShardProxy:
             if not writer.is_closing():
                 writer.write(protocol.encode_frame_as(response, True))
 
-        if self._draining:
-            reply(protocol.error_response(
-                protocol.SHUTTING_DOWN, "proxy is draining", request_id
-            ))
-            return
         try:
             route = protocol.bin_frame_route(frame)
         except protocol.FrameError as exc:
@@ -1658,19 +1578,13 @@ class ShardProxy:
             ))
             return
         kind, value = route
-        tenant = conn["tenant"] if conn is not None else DEFAULT_TENANT
-        if self._qos_shed(tenant, reply, request_id):
+        opcode = frame[1]
+        step = self.frontend.admit(_BIN_RTYPE[opcode],
+                                   value if kind == "key" else None,
+                                   request_id, session)
+        if step.__class__ is not Completion:
+            reply(step)
             return
-        fill_token: Any = None
-        cache_key: Optional[str] = None
-        if kind == "key":
-            cache_key = str(value)
-            if self.read_cache is not None and frame[1] == protocol.OP_GET:
-                served, fill_token = self._cache_hit(
-                    cache_key, tenant, reply, request_id
-                )
-                if served:
-                    return
         forward_node: Optional[int] = None
         if kind == "pair":
             total = self.pairs_per_rack * len(self.ring)
@@ -1683,127 +1597,37 @@ class ShardProxy:
                 ))
                 return
             node = self.ring.node_for(f"pair:{value}")
-            if self.selector is not None and frame[1] == protocol.OP_READ:
+            if self.selector is not None and opcode == protocol.OP_READ:
                 node = self._choose_read_node(value, node)
-            out_frame: Any = protocol.rewrite_bin_pair(
-                frame, value % self.pairs_per_rack
-            )
-        elif frame[1] == protocol.OP_PUT:
-            node, forward_node = self.fleet.write_route(str(value))
-            out_frame = frame
+            frame = protocol.rewrite_bin_pair(frame,
+                                              value % self.pairs_per_rack)
+        elif opcode == protocol.OP_PUT:
+            node, forward_node = self.fleet.write_route(value)
         else:
-            node = self.fleet.read_owner(str(value))
-            out_frame = frame
-        link = await self._link_for(node, writer, links, request_id, True,
-                                    conn)
-        if link is None:
-            return
-        self.routed += 1
-        self._enqueue(batches, link, out_frame, request_id)
-        self._track(conn, request_id, _BIN_RTYPE.get(frame[1], "other"),
-                    cache_key, fill_token, tenant)
-        if forward_node is not None:
-            await self._dup_write(str(value), out_frame, forward_node,
-                                  writer, links, batches, request_id, True,
-                                  conn)
+            node = self.fleet.read_owner(value)
+        await self._forward(frame, node, forward_node, str(value), step,
+                            request_id, True, writer, links, batches)
 
     async def _begin(self, request: Dict[str, Any],
                      writer: "asyncio.StreamWriter",
                      links: Dict[int, _BackendLink],
-                     batches: Dict[_BackendLink, Tuple[List[Any], List[Any]]],
-                     conn: Optional[Dict[str, Any]] = None,
-                     ) -> None:
+                     batches: "_Batches", session: Session) -> None:
+        """Run one JSON request through the chain, then route it."""
         request_id = request.get("id")
 
         def reply(response: Dict[str, Any]) -> None:
             if not writer.is_closing():
                 writer.write(protocol.encode_frame(response))
 
-        bad_version = protocol.check_version(request)
-        if bad_version is not None:
-            reply(protocol.error_response(
-                protocol.UNSUPPORTED_VERSION,
-                f"server speaks v{protocol.PROTOCOL_VERSION}, "
-                f"got v{bad_version!r}", request_id,
-            ))
+        step = self.frontend.begin(request, session)
+        if step.__class__ is not Completion:
+            if step is CONTROL:
+                step = await self._control(request, reply)
+                if step is None:
+                    return
+            reply(step)
             return
         rtype = request.get("type")
-        if rtype == "hello":
-            hello_fields: Dict[str, Any] = dict(
-                racks=len(self.ring), epoch=self.fleet.epoch,
-            )
-            # Advertised only when active: hash mode stays byte-identical.
-            if self.selector is not None:
-                hello_fields["read_policy"] = self.read_policy
-            declared = request.get("tenant")
-            if declared is not None:
-                if not isinstance(declared, str) or not declared:
-                    reply(protocol.error_response(
-                        protocol.BAD_REQUEST,
-                        f"tenant must be a non-empty string, "
-                        f"got {declared!r}", request_id,
-                    ))
-                    return
-                if self.qos is not None and not self.qos.knows(declared):
-                    reply(protocol.error_response(
-                        protocol.BAD_REQUEST,
-                        f"unknown tenant {declared!r}; declared tenants: "
-                        f"{self.qos.tenant_names}", request_id,
-                    ))
-                    return
-                if conn is not None:
-                    conn["tenant"] = declared
-                hello_fields["tenant"] = declared
-            capabilities = ["raw", "kv", "sharded", "proxy", "bin"]
-            if self.qos is not None:
-                capabilities.append("qos")
-            reply(protocol.hello_response(
-                request_id, capabilities=capabilities, **hello_fields,
-            ))
-            return
-        if rtype == "ping":
-            reply(protocol.ok_response(request_id, pong=True))
-            return
-        if rtype == "stats":
-            try:
-                reply(protocol.ok_response(
-                    request_id, **(await self._gather_stats())
-                ))
-            except (ConnectionError, OSError, protocol.FrameError) as exc:
-                reply(protocol.error_response(
-                    protocol.INTERNAL, f"stats gather failed: {exc}",
-                    request_id,
-                ))
-            return
-        if rtype == "admin":
-            self._begin_admin(request, writer)
-            return
-        epoch = request.get("epoch")
-        if epoch is not None and epoch != self.fleet.epoch:
-            reply(protocol.error_response(
-                protocol.WRONG_SHARD,
-                f"request pinned ring epoch {epoch!r}, fleet is at "
-                f"epoch {self.fleet.epoch}", request_id,
-            ))
-            return
-        if self._draining:
-            reply(protocol.error_response(
-                protocol.SHUTTING_DOWN, "proxy is draining", request_id
-            ))
-            return
-        tenant = conn["tenant"] if conn is not None else DEFAULT_TENANT
-        if rtype in _QOS_DATA_TYPES and self._qos_shed(tenant, reply,
-                                                       request_id):
-            return
-        fill_token: Any = None
-        cache_key = request.get("key") \
-            if isinstance(request.get("key"), str) else None
-        if (rtype == "get" and self.read_cache is not None
-                and cache_key is not None):
-            served, fill_token = self._cache_hit(cache_key, tenant, reply,
-                                                 request_id)
-            if served:
-                return
         node, forward_node = self._route(request)
         if node is None:
             self.unroutable += 1
@@ -1818,28 +1642,54 @@ class ShardProxy:
         out_request.pop("epoch", None)
         if rtype in ("read", "write"):
             out_request["pair"] = int(request["pair"]) % self.pairs_per_rack
-        link = await self._link_for(node, writer, links, request_id, False,
-                                    conn)
+        await self._forward(protocol.encode_frame(out_request), node,
+                            forward_node, str(request.get("key", "")), step,
+                            request_id, False, writer, links, batches)
+
+    async def _control(self, request: Dict[str, Any],
+                       reply: Any) -> Optional[Dict[str, Any]]:
+        """``stats`` scatter-gathers the backends; ``admin`` mutations
+        run as background tasks so foreground frames keep relaying."""
+        if request.get("type") == "stats":
+            try:
+                return protocol.ok_response(
+                    request.get("id"), **(await self._gather_stats())
+                )
+            except (ConnectionError, OSError, protocol.FrameError) as exc:
+                return protocol.error_response(
+                    protocol.INTERNAL, f"stats gather failed: {exc}",
+                    request.get("id"),
+                )
+        return self.frontend.admin(request, reply, self._admin_tasks)
+
+    async def _forward(self, frame: Any, node: int,
+                       forward_node: Optional[int], key: str,
+                       step: Completion, request_id: Any, binary: bool,
+                       writer: "asyncio.StreamWriter",
+                       links: Dict[int, _BackendLink],
+                       batches: "_Batches") -> None:
+        """Queue a routed frame on its backend link (and, for a write in
+        a migration window, on the destination's too)."""
+        link = await self._link_for(node, writer, links, request_id, binary)
         if link is None:
             return
         self.routed += 1
-        frame = protocol.encode_frame(out_request)
-        self._enqueue(batches, link, frame, request_id)
-        self._track(conn, request_id, str(rtype), cache_key, fill_token,
-                    tenant)
+        self._enqueue(batches, link, frame, request_id, step)
+        if request_id is not None:
+            # Only a response carrying the id can settle the record.
+            step.submitted()
         if forward_node is not None:
-            await self._dup_write(str(request.get("key", "")), frame,
-                                  forward_node, writer, links, batches,
-                                  request_id, False, conn)
+            await self._dup_write(key, frame, forward_node, writer, links,
+                                  batches, request_id, binary, step)
 
     # ----------------------------------------------------------- membership
 
     async def _dup_write(self, key: str, frame: Any, forward_node: int,
                          writer: "asyncio.StreamWriter",
                          links: Dict[int, _BackendLink],
-                         batches: Dict[_BackendLink, Tuple[List[Any], List[Any]]],
+                         batches: "_Batches",
                          request_id: Any, binary: bool,
-                         conn: Optional[Dict[str, Any]] = None) -> None:
+                         step: Completion) -> None:
         """Duplicate a migrating key's write to its future owner.
 
         The proxy relays frames without matching responses, so it cannot
@@ -1850,7 +1700,8 @@ class ShardProxy:
         destination leg dies, its orphan ``TIMEOUT`` either arrives
         second (ignored) or first (a retryable error while the
         authoritative old owner durably applied the write) -- never a
-        lost ack.
+        lost ack.  Both legs carry the one completion record, which the
+        first response settles.
         """
         self.fleet.note_forwarded(key)
         self.fleet.counters["write_forwards"] += 1
@@ -1860,90 +1711,9 @@ class ShardProxy:
         await self.fleet.await_stream_put(key)
         # Dial errors reply with id ``None`` (clients ignore them): the
         # primary leg is already queued and must own the id's response.
-        link = await self._link_for(forward_node, writer, links, None, binary,
-                                    conn)
+        link = await self._link_for(forward_node, writer, links, None, binary)
         if link is not None:
-            self._enqueue(batches, link, frame, request_id)
-
-    def _begin_admin(self, request: Dict[str, Any],
-                     writer: "asyncio.StreamWriter") -> None:
-        """In-band fleet administration, proxy flavour.
-
-        ``status`` answers immediately; ``add_rack`` admits an
-        *already-running* backend ``serve`` process (the proxy does not
-        spawn processes -- the operator starts it and hands its
-        ``host``/``port`` here) and ``drain_rack`` streams a backend's
-        keys out, after which the operator may stop the process.  Both
-        run as background tasks so foreground frames keep relaying.
-        """
-        request_id = request.get("id")
-
-        def reply(response: Dict[str, Any]) -> None:
-            if not writer.is_closing():
-                writer.write(protocol.encode_frame(response))
-
-        op = str(request.get("op", "status"))
-        if op in ("status", "fleet_status"):
-            status = self.fleet.status()
-            status["drained"] = sorted(self.drained)
-            reply(protocol.ok_response(request_id, **status))
-            return
-        try:
-            knobs: Dict[str, Any] = {}
-            if "batch_size" in request:
-                knobs["batch_size"] = int(request["batch_size"])
-            if "pause_s" in request:
-                knobs["pause_s"] = float(request["pause_s"])
-            if "max_attempts" in request:
-                knobs["max_attempts"] = int(request["max_attempts"])
-            if op == "add_rack":
-                pending = self._admin_add_rack(request, knobs)
-            elif op == "drain_rack":
-                pending = self._admin_drain_rack(int(request["rack"]), knobs)
-            else:
-                reply(protocol.error_response(
-                    protocol.BAD_REQUEST, f"unsupported admin op {op!r}",
-                    request_id,
-                ))
-                return
-        except (KeyError, TypeError, ValueError, ConfigError) as exc:
-            reply(protocol.error_response(
-                protocol.BAD_REQUEST, f"{type(exc).__name__}: {exc}",
-                request_id,
-            ))
-            return
-        task = asyncio.ensure_future(pending)
-        self._admin_tasks.add(task)
-
-        def _respond(done: "asyncio.Task") -> None:
-            self._admin_tasks.discard(done)
-            if done.cancelled():
-                return
-            exc = done.exception()
-            if exc is None:
-                reply(protocol.ok_response(request_id, **done.result()))
-            elif isinstance(exc, MembershipBusy):
-                reply(protocol.error_response(
-                    protocol.BUSY, str(exc), request_id
-                ))
-            elif isinstance(exc, (KeyError, TypeError, ValueError,
-                                  ConfigError)):
-                reply(protocol.error_response(
-                    protocol.BAD_REQUEST, f"{type(exc).__name__}: {exc}",
-                    request_id,
-                ))
-            elif isinstance(exc, (MembershipError, asyncio.TimeoutError,
-                                  ConnectionError, OSError)):
-                reply(protocol.error_response(
-                    protocol.INTERNAL, f"membership change failed: {exc}",
-                    request_id,
-                ))
-            else:
-                reply(protocol.error_response(
-                    protocol.INTERNAL, str(exc), request_id
-                ))
-
-        task.add_done_callback(_respond)
+            self._enqueue(batches, link, frame, request_id, step)
 
     def _wire_endpoints(self):
         """Wire-level scan/put/delete endpoints for the migration
@@ -1971,14 +1741,12 @@ class ShardProxy:
 
         async def put(dst: int, key: str, value: str) -> None:
             await (await client_for(dst)).put(key, value)
-            if self.read_cache is not None:
-                self.read_cache.invalidate(key)
+            self.frontend.key_written(key)
 
         async def delete(src: int, key: str) -> None:
             if 0 <= src < len(self.backends) and src not in self.drained:
                 await (await client_for(src)).delete(key)
-            if self.read_cache is not None:
-                self.read_cache.invalidate(key)
+            self.frontend.key_written(key)
 
         async def close() -> None:
             for client in clients.values():
@@ -2034,8 +1802,7 @@ class ShardProxy:
                 f"attempt(s): {exc}"
             ) from exc
         epoch = self.fleet.commit()
-        if self.read_cache is not None:
-            self.read_cache.fence(epoch)
+        self.frontend.epoch_moved(epoch)
         try:
             await stream.cleanup(report)
         finally:
@@ -2065,8 +1832,7 @@ class ShardProxy:
                 f"attempt(s): {exc}"
             ) from exc
         epoch = self.fleet.commit()
-        if self.read_cache is not None:
-            self.read_cache.fence(epoch)
+        self.frontend.epoch_moved(epoch)
         await close()
         # The slot stays (indices must remain stable); the backend just
         # left the ring.  The operator stops the process at leisure.
@@ -2137,10 +1903,7 @@ class ShardProxy:
                 }
             routing[schema.FIELD_ROUTING_REPLICAS] = replicas
             out[schema.SECTION_ROUTING] = routing
-        if self.qos is not None:
-            out[schema.SECTION_TENANTS] = self.qos.stats_section()
-        if self.read_cache is not None:
-            out[schema.SECTION_READCACHE] = self.read_cache.stats_section()
+        out.update(self.frontend.stats_sections())
         out[schema.FIELD_CONNECTIONS] = float(self.connections_accepted)
         return out
 
@@ -2153,18 +1916,15 @@ class ShardProxy:
 
 async def launch_backends(
     racks: int, backend_args: Sequence[str], *, seed: int,
-    startup_timeout_s: float = 60.0, port: int = 0,
+    startup_timeout_s: float = 60.0,
 ) -> Tuple[List["asyncio.subprocess.Process"], List[Tuple[str, int]]]:
     """Spawn one ``repro.cli serve`` process per rack.
 
     ``backend_args`` is everything after ``serve`` except ``--port`` and
-    ``--seed``, which are set here (seed ``seed + rack``, the same
-    derivation :func:`build_shard_configs` uses).  ``port`` defaults to
-    0 -- an ephemeral port per backend; a fixed port is for
-    ``SO_REUSEPORT`` per-core worker fleets that all share one listener
-    (every child then also needs ``--reuseport`` in ``backend_args``).
-    Returns the processes plus their ``(host, port)`` endpoints, parsed
-    from each child's "serving ... on host:port" line.
+    ``--seed``, which are set here (an ephemeral port per backend, seed
+    ``seed + rack``, the same derivation :func:`build_shard_configs`
+    uses).  Returns the processes plus their ``(host, port)`` endpoints,
+    parsed from each child's "serving ... on host:port" line.
     """
     import os
     import pathlib
@@ -2183,7 +1943,7 @@ async def launch_backends(
         for rack in range(racks):
             proc = await asyncio.create_subprocess_exec(
                 sys.executable, "-m", "repro.cli", "serve",
-                "--port", str(port), "--seed", str(seed + rack),
+                "--port", "0", "--seed", str(seed + rack),
                 *backend_args,
                 stdout=asyncio.subprocess.PIPE,
                 stderr=asyncio.subprocess.STDOUT,

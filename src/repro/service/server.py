@@ -24,18 +24,16 @@ from repro.errors import ConfigError
 from repro.service import protocol, schema
 from repro.service.admission import AdmissionController
 from repro.service.bridge import SimTimeBridge
-from repro.service.membership import MembershipBusy, MembershipError
-from repro.service.qos import DEFAULT_TENANT, QosScheduler
+from repro.service.frontend import (
+    BAD_OPERAND,
+    CONTROL,
+    Completion,
+    FrontEnd,
+    Session,
+    error_for,
+)
+from repro.service.qos import QosScheduler
 from repro.service.readcache import ReadCache
-
-#: Request types that consume simulated rack capacity and therefore
-#: pass through tenant QoS admission (everything else -- hello, ping,
-#: stats, admin -- is control plane).
-_DATA_TYPES = frozenset(("read", "write", "get", "put", "del", "scan"))
-
-#: Simulated latency reported for a DRAM cache hit: the request never
-#: touches the rack simulator, so the charge is a nominal DRAM fetch.
-CACHE_HIT_LATENCY_US = 1.0
 
 
 class RackService:
@@ -53,7 +51,6 @@ class RackService:
         pace: float = 0.0,
         chunk_us: float = 1000.0,
         request_timeout_us: Optional[float] = None,
-        reuse_port: bool = False,
         qos: Optional[QosScheduler] = None,
         read_cache: Optional[ReadCache] = None,
     ) -> None:
@@ -65,9 +62,8 @@ class RackService:
         self.qos = qos
         #: Optional DRAM read-through cache for KV ``get``\ s.
         self.read_cache = read_cache
-        #: Bind with ``SO_REUSEPORT`` so several per-core acceptor
-        #: processes can share one listening port (``serve --workers``).
-        self.reuse_port = reuse_port
+        #: The front-end request chain every request runs first.
+        self.frontend = FrontEnd(self, qos, read_cache)
         if bridge is None:
             bridge_kwargs: Dict[str, Any] = dict(pace=pace, chunk_us=chunk_us)
             if request_timeout_us is not None:
@@ -80,7 +76,6 @@ class RackService:
         self.max_frame_bytes = max_frame_bytes
         self._server: Optional["asyncio.base_events.Server"] = None
         self._connections: Set["asyncio.Task"] = set()
-        self._draining = False
         self.connections_accepted = 0
         self.responses_sent = 0
         # Completion responses accumulate here during a sim chunk and go
@@ -94,9 +89,8 @@ class RackService:
         """Bind, listen, and start the bridge pump."""
         self.bridge.after_chunk = self._flush_writes
         await self.bridge.start()
-        kwargs = {"reuse_port": True} if self.reuse_port else {}
         self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port, **kwargs
+            self._handle_connection, self.host, self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
 
@@ -111,7 +105,7 @@ class RackService:
         New requests arriving on live connections during the drain get
         ``SHUTTING_DOWN``; admitted ones complete normally.
         """
-        self._draining = True
+        self.frontend.draining = True
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -141,10 +135,7 @@ class RackService:
         default_client = f"{peer[0]}:{peer[1]}" if peer else "unknown"
         outstanding: Set["asyncio.Future"] = set()
         decoder = protocol.FrameDecoder(self.max_frame_bytes)
-        # Per-connection identity: the tenant is declared once in the
-        # hello exchange (the binary codec has no per-request field for
-        # it) and sticks for the connection's lifetime.
-        conn = {"tenant": DEFAULT_TENANT}
+        session = Session()
         try:
             while True:
                 data = await reader.read(65536)
@@ -159,7 +150,7 @@ class RackService:
                     break  # framing is lost; drop the connection
                 for request, binary in requests:
                     self._begin_request(request, default_client, writer,
-                                        outstanding, binary, conn)
+                                        outstanding, binary, session)
                 # Push out whatever the batch produced synchronously
                 # (rejections, pings); completions flush per sim chunk.
                 self._flush_writes()
@@ -249,8 +240,8 @@ class RackService:
         return {"epoch": self._current_epoch(), "racks": [0],
                 "migrating": False, "phase": "static"}
 
-    def _admin_mutation(self, op: str,
-                        request: Dict[str, Any]) -> Optional["asyncio.Future"]:
+    def _admin_mutation(self, op: str, request: Dict[str, Any],
+                        knobs: Dict[str, Any]) -> Optional["asyncio.Future"]:
         """Start a membership mutation; returns an awaitable or ``None``
         for unknown/unsupported ops.  A fixed single rack supports none."""
         return None
@@ -294,191 +285,31 @@ class RackService:
         """The full body of a ``stats`` response."""
         return schema.assemble_server_stats(
             self.bridge.stats_payload(), self.admission.stats(),
-            self.connections_accepted,
-            tenants=(self.qos.stats_section()
-                     if self.qos is not None else None),
-            readcache=(self.read_cache.stats_section()
-                       if self.read_cache is not None else None),
+            self.connections_accepted, **self.frontend.stats_sections(),
         )
-
-    # ----------------------------------------------------------------- admin
-
-    def _begin_admin(self, request: Dict[str, Any],
-                     writer: "asyncio.StreamWriter",
-                     outstanding: Set["asyncio.Future"],
-                     binary: bool = False) -> None:
-        """In-band fleet administration on the v1 JSON wire.
-
-        ``status`` answers immediately; mutations (``add_rack`` /
-        ``drain_rack``) run as a task -- migration takes real time under
-        live load -- and respond when the cutover (or the abort) lands.
-        """
-        request_id = request.get("id")
-        op = request.get("op")
-        if op in ("status", "fleet_status"):
-            self._send_batched(writer, protocol.ok_response(
-                request_id, **self._fleet_status()
-            ), binary)
-            return
-        try:
-            pending = self._admin_mutation(str(op), request)
-        except (KeyError, TypeError, ValueError, ConfigError) as exc:
-            self._send_batched(writer, protocol.error_response(
-                protocol.BAD_REQUEST, f"{type(exc).__name__}: {exc}",
-                request_id,
-            ), binary)
-            return
-        if pending is None:
-            self._send_batched(writer, protocol.error_response(
-                protocol.BAD_REQUEST,
-                f"unsupported admin op {op!r} for this deployment",
-                request_id,
-            ), binary)
-            return
-        task = asyncio.ensure_future(pending)
-        outstanding.add(task)
-
-        def _respond(fut: "asyncio.Future") -> None:
-            outstanding.discard(fut)
-            if fut.cancelled():
-                self._send(writer, protocol.error_response(
-                    protocol.SHUTTING_DOWN, "admin op cancelled at shutdown",
-                    request_id,
-                ))
-                return
-            exc = fut.exception()
-            if exc is None:
-                self._send(writer,
-                           protocol.ok_response(request_id, **fut.result()))
-            elif isinstance(exc, MembershipBusy):
-                self._send(writer, protocol.error_response(
-                    protocol.BUSY, str(exc), request_id
-                ))
-            elif isinstance(exc, (KeyError, TypeError, ValueError,
-                                  ConfigError)):
-                self._send(writer, protocol.error_response(
-                    protocol.BAD_REQUEST, f"{type(exc).__name__}: {exc}",
-                    request_id,
-                ))
-            elif isinstance(exc, (MembershipError, asyncio.TimeoutError,
-                                  ConnectionError, OSError)):
-                self._send(writer, protocol.error_response(
-                    protocol.INTERNAL,
-                    f"membership change failed: {exc}", request_id,
-                ))
-            else:
-                self._send(writer, protocol.error_response(
-                    protocol.INTERNAL, f"{type(exc).__name__}: {exc}",
-                    request_id,
-                ))
-
-        task.add_done_callback(_respond)
 
     # --------------------------------------------------------------- dispatch
 
     def _begin_request(self, request: Dict[str, Any], default_client: str,
                        writer: "asyncio.StreamWriter",
                        outstanding: Set["asyncio.Future"],
-                       binary: bool = False,
-                       conn: Optional[Dict[str, str]] = None) -> None:
-        """Admit and dispatch one request; responses are written either
-        immediately (rejections, ping/stats) or from the sim future's
+                       binary: bool, session: Session) -> None:
+        """Run one request through the front-end chain, then admit and
+        dispatch it; responses are written either immediately (answers
+        from the chain, rejections) or from the sim future's
         done-callback when the simulated request completes.  ``binary``
         tags how the request arrived; every response to it answers in
-        the same codec.  ``conn`` carries per-connection state (the
-        hello-declared tenant)."""
+        the same codec."""
+        step = self.frontend.begin(request, session)
+        if step.__class__ is not Completion:
+            if step is CONTROL:
+                step = self._control(request, writer, outstanding)
+                if step is None:
+                    return
+            self._send_batched(writer, step, binary)
+            return
         request_id = request.get("id")
-        bad_version = protocol.check_version(request)
-        if bad_version is not None:
-            self._send_batched(writer, protocol.error_response(
-                protocol.UNSUPPORTED_VERSION,
-                f"server speaks v{protocol.PROTOCOL_VERSION}, "
-                f"got v{bad_version!r}", request_id,
-            ), binary)
-            return
-        rtype = request.get("type")
-        # Cheap, non-simulated request types bypass admission entirely.
-        if rtype == "hello":
-            declared = request.get("tenant")
-            extra: Dict[str, Any] = {}
-            if declared is not None:
-                if not isinstance(declared, str) or not declared:
-                    self._send_batched(writer, protocol.error_response(
-                        protocol.BAD_REQUEST,
-                        f"tenant must be a non-empty string, "
-                        f"got {declared!r}", request_id,
-                    ), binary)
-                    return
-                if self.qos is not None and not self.qos.knows(declared):
-                    self._send_batched(writer, protocol.error_response(
-                        protocol.BAD_REQUEST,
-                        f"unknown tenant {declared!r}; declared tenants: "
-                        f"{self.qos.tenant_names}", request_id,
-                    ), binary)
-                    return
-                if conn is not None:
-                    conn["tenant"] = declared
-                extra["tenant"] = declared
-            self._send_batched(writer, protocol.hello_response(
-                request_id, capabilities=self._capabilities(),
-                **self._hello_fields(), **extra,
-            ), binary)
-            return
-        if rtype == "ping":
-            self._send_batched(writer,
-                               protocol.ok_response(request_id, pong=True),
-                               binary)
-            return
-        if rtype == "stats":
-            self._send_batched(writer, protocol.ok_response(
-                request_id, **self._stats_payload()
-            ), binary)
-            return
-        if rtype == "admin":
-            self._begin_admin(request, writer, outstanding, binary)
-            return
-        epoch = request.get("epoch")
-        if epoch is not None and epoch != self._current_epoch():
-            # The client pinned a routing view that a membership cutover
-            # has since invalidated; it must re-``hello`` and retry.
-            self._send_batched(writer, protocol.error_response(
-                protocol.WRONG_SHARD,
-                f"request pinned ring epoch {epoch!r}, fleet is at "
-                f"epoch {self._current_epoch()}", request_id,
-            ), binary)
-            return
-        if self._draining:
-            self._send_batched(writer, protocol.error_response(
-                protocol.SHUTTING_DOWN, "server is draining", request_id
-            ), binary)
-            return
         client = str(request.get("client") or default_client)
-        tenant = conn.get("tenant", DEFAULT_TENANT) if conn else DEFAULT_TENANT
-        qos = self.qos if rtype in _DATA_TYPES else None
-        if qos is not None and not qos.try_admit(tenant):
-            self._send_batched(writer, protocol.error_response(
-                protocol.BUSY,
-                f"tenant {tenant!r} is over its QoS budget", request_id,
-            ), binary)
-            return
-        cache = self.read_cache
-        key = request.get("key") if isinstance(request.get("key"), str) \
-            else None
-        fill_token = None
-        if cache is not None and rtype == "get" and key is not None:
-            hit, value, fill_token = cache.lookup(key, tenant)
-            if hit:
-                # Served straight from front-end DRAM: no admission, no
-                # simulated work, and the hit still counts toward the
-                # tenant's SLO window (a near-zero-latency success).
-                if qos is not None:
-                    qos.on_submit(tenant)
-                    qos.on_complete(tenant, CACHE_HIT_LATENCY_US / 1000.0)
-                self._send_batched(writer, protocol.ok_response(
-                    request_id, value=value, found=True,
-                    latency_us=CACHE_HIT_LATENCY_US,
-                ), binary)
-                return
         if not self._admit(client, request):
             self._send_batched(writer, protocol.error_response(
                 protocol.BUSY, "admission control shed this request",
@@ -486,69 +317,29 @@ class RackService:
             ), binary)
             return
         try:
-            future = self._submit(rtype, request, client)
-        except (KeyError, TypeError, ValueError, ConfigError) as exc:
-            self._send_batched(writer, protocol.error_response(
-                protocol.BAD_REQUEST, f"{type(exc).__name__}: {exc}",
-                request_id,
-            ), binary)
+            future = self._submit(request.get("type"), request, client)
+        except BAD_OPERAND as exc:
+            self._send_batched(writer, error_for(exc, request_id), binary)
             return
         outstanding.add(future)
-        if qos is not None:
-            qos.on_submit(tenant)
-
-        def _qos_done(result: Optional[Dict[str, Any]], ok: bool) -> None:
-            if qos is None:
-                return
-            latency_us = (result or {}).get("latency_us")
-            latency_ms = (float(latency_us) / 1000.0
-                          if isinstance(latency_us, (int, float)) else None)
-            qos.on_complete(tenant, latency_ms, ok=ok)
+        step.submitted()
 
         def _respond(fut: "asyncio.Future") -> None:
             outstanding.discard(fut)
-            if fut.cancelled():
-                _qos_done(None, False)
-                self._send_batched(writer, protocol.error_response(
-                    protocol.SHUTTING_DOWN, "request cancelled at shutdown",
-                    request_id,
-                ), binary)
-                return
-            exc = fut.exception()
-            if exc is None:
-                result = fut.result()
-                _qos_done(result, True)
-                if cache is not None and key is not None:
-                    if rtype in ("put", "del"):
-                        # Write-through invalidation at completion time:
-                        # the store now holds the new value, so purge the
-                        # key and fence any fill racing this write.
-                        cache.invalidate(key)
-                    elif (rtype == "get" and fill_token is not None
-                          and result.get("found")):
-                        cache.fill(key, result.get("value"), tenant,
-                                   fill_token)
-                self._send_batched(
-                    writer, protocol.ok_response(request_id, **result),
-                    binary,
-                )
-            elif isinstance(exc, asyncio.TimeoutError):
-                _qos_done(None, False)
-                self._send_batched(writer, protocol.error_response(
-                    protocol.TIMEOUT, str(exc), request_id
-                ), binary)
-            elif isinstance(exc, (KeyError, TypeError, ValueError,
-                                  ConfigError)):
-                _qos_done(None, False)
-                self._send_batched(writer, protocol.error_response(
-                    protocol.BAD_REQUEST, f"{type(exc).__name__}: {exc}",
-                    request_id,
-                ), binary)
-            else:
-                _qos_done(None, False)
-                self._send_batched(writer, protocol.error_response(
-                    protocol.INTERNAL, f"{type(exc).__name__}: {exc}",
-                    request_id,
-                ), binary)
+            self._send_batched(writer, step.settle(fut, request_id), binary)
 
         future.add_done_callback(_respond)
+
+    def _control(self, request: Dict[str, Any],
+                 writer: "asyncio.StreamWriter",
+                 outstanding: Set["asyncio.Future"],
+                 ) -> Optional[Dict[str, Any]]:
+        """``stats`` answers now; ``admin`` mutations answer later with
+        an immediate write (no sim chunk may follow to flush them)."""
+        if request.get("type") == "stats":
+            return protocol.ok_response(request.get("id"),
+                                        **self._stats_payload())
+        return self.frontend.admin(
+            request, lambda response: self._send(writer, response),
+            outstanding,
+        )

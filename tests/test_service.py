@@ -328,13 +328,13 @@ class TestRackServiceEndToEnd:
             service = await _start_service()
             async with ServiceClient("127.0.0.1", service.port) as c:
                 await c.ping()
-                service._draining = True
+                service.frontend.draining = True
                 try:
                     await c.read(0, 1)
                 except ServiceError as exc:
                     return exc.code
                 finally:
-                    service._draining = False
+                    service.frontend.draining = False
                     await service.stop()
             return None
 
@@ -382,7 +382,7 @@ class TestMultiTenantServingEndToEnd:
 
     def test_hello_binds_tenant_and_cache_serves_hot_reads(self):
         from repro.service.client import ClientConfig
-        from repro.service.server import CACHE_HIT_LATENCY_US
+        from repro.service.frontend import CACHE_HIT_LATENCY_US
 
         async def scenario():
             service = await self._start_tenant_service()
@@ -465,28 +465,6 @@ class TestMultiTenantServingEndToEnd:
 
 
 class TestClientConfig:
-    def test_legacy_kwargs_map_and_warn_once(self, monkeypatch):
-        import warnings
-
-        from repro.service import client as client_mod
-
-        monkeypatch.setattr(client_mod, "_legacy_kwargs_warned", False)
-        with pytest.warns(DeprecationWarning, match="ClientConfig"):
-            c = ServiceClient("127.0.0.1", 1, max_retries=2, hedge_reads=True)
-        assert c.config.max_retries == 2
-        assert c.config.hedge_reads is True
-        assert c.max_retries == 2            # mirror attribute intact
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")   # the second use is silent
-            ServiceClient("127.0.0.1", 1, max_retries=1)
-
-    def test_config_and_legacy_kwargs_conflict(self):
-        from repro.service.client import ClientConfig
-
-        with pytest.raises(TypeError, match="both"):
-            ServiceClient("127.0.0.1", 1, config=ClientConfig(),
-                          max_retries=1)
-
     def test_unknown_kwarg_rejected(self):
         with pytest.raises(TypeError, match="frobnicate"):
             ServiceClient("127.0.0.1", 1, frobnicate=True)
