@@ -72,9 +72,12 @@ def test_rack_run_reports_engine_throughput(benchmark):
         num_servers=2, num_pairs=2,
     )
     result = run_once(benchmark, spec.execute)
+    requests = result.metrics.read_total.count + result.metrics.write_total.count
     print()
     print(f"rack run: {result.events} events in {result.wall_clock_s:.2f}s "
-          f"-> {result.events_per_sec():,.0f} events/sec")
+          f"-> {result.events_per_sec():,.0f} events/sec, "
+          f"{requests / result.wall_clock_s:,.0f} requests/sec "
+          f"({result.events / requests:.1f} events/request)")
     assert result.events_per_sec() > 0
 
 

@@ -16,6 +16,7 @@ from typing import Generator
 from repro.cluster.client import Client
 from repro.errors import ConfigError
 from repro.sim import AnyOf, Timeout
+from repro.workloads.generator import Request
 
 
 class ChaosClient(Client):
@@ -29,6 +30,14 @@ class ChaosClient(Client):
         schedule = self.hub.schedule
         self.op_timeout_us = schedule.op_timeout_us
         self.max_attempts = schedule.max_attempts
+
+    def _issue(self, request: Request) -> None:
+        """Run the request's retry loop as its own process."""
+        lpn = request.lpn % self.key_space
+        if request.kind == "read":
+            self.sim.spawn(self._issue_read(lpn))
+        else:
+            self.sim.spawn(self._issue_write(lpn))
 
     def _issue_read(self, lpn: int) -> Generator:
         t0 = self.sim.now

@@ -46,7 +46,7 @@ class Client:
         for request in self.generator.requests(num_requests):
             yield Timeout(self.sim, request.gap_us)
             self.issued += 1
-            self.sim.spawn(self._issue(request))
+            self._issue(request)
         while self.completed < self.issued:
             self._drained = Event(self.sim)
             yield self._drained
@@ -57,29 +57,32 @@ class Client:
         if self._drained is not None and not self._drained.triggered:
             self._drained.succeed()
 
-    def _issue(self, request: Request) -> Generator:
+    def _issue(self, request: Request) -> None:
+        """Send one request; its response event records the latency."""
         lpn = request.lpn % self.key_space
-        if request.kind == "read":
-            yield self.sim.spawn(self._issue_read(lpn))
-        else:
-            yield self.sim.spawn(self._issue_write(lpn))
-
-    def _issue_read(self, lpn: int) -> Generator:
         t0 = self.sim.now
-        response = yield self.rack.issue_read(self.pair, lpn, client=self.name)
+        if request.kind == "read":
+            self.rack.issue_read(self.pair, lpn, client=self.name).add_callback(
+                lambda done: self._read_done(done.value, t0)
+            )
+        else:
+            # Writes are issued to all replicas and complete when every
+            # replica has the DRAM copy (the write-cache admission ack).
+            # Replicas the failure detector has declared dead are skipped
+            # -- the membership view clients get from the heartbeat
+            # machinery.
+            self.rack.issue_write(self.pair, lpn, client=self.name).add_callback(
+                lambda done: self._write_done(done.value, t0)
+            )
+
+    def _read_done(self, response, t0: float) -> None:
         storage_us = response.payload.get("storage_us")
         self.metrics.record(
             "read", self.sim.now - t0, at=self.sim.now, storage_us=storage_us
         )
         self._note_done()
 
-    def _issue_write(self, lpn: int) -> Generator:
-        # Writes are issued to all replicas and complete when every replica
-        # has the DRAM copy (the write-cache admission ack).  Replicas the
-        # failure detector has declared dead are skipped -- the membership
-        # view clients get from the heartbeat machinery.
-        t0 = self.sim.now
-        responses = yield self.rack.issue_write(self.pair, lpn, client=self.name)
+    def _write_done(self, responses, t0: float) -> None:
         if not responses:
             # Both in-rack replicas are down; the out-of-rack replica (out
             # of scope here) would take over.  Count the op as done so the

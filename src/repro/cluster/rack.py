@@ -651,10 +651,6 @@ class Rack:
         pkt.vssd_id = peer.vssd_id
         pkt.dst = target_ip
         pkt.payload["proxy_ip"] = server.ip
-        self.sim.spawn(self._forward_between_servers(pkt, target_ip))
-        return True
-
-    def _forward_between_servers(self, pkt: Packet, dst_ip: str) -> Generator:
         # The server-to-server leg rides the same emulated datacenter
         # fabric as client traffic (the paper injects trace latency on
         # every traversal), plus user-level forwarding overhead -- the
@@ -662,7 +658,15 @@ class Rack:
         # below RackBlox (§4.3).
         forward_start = self.sim.now
         hop = self.latency.sample(self.sim.now)
-        yield Timeout(self.sim, hop + SOFTWARE_REDIRECT_OVERHEAD_US)
+        self.sim.schedule_after(
+            hop + SOFTWARE_REDIRECT_OVERHEAD_US,
+            lambda: self._forwarded_to_server(pkt, target_ip, hop, forward_start),
+        )
+        return True
+
+    def _forwarded_to_server(self, pkt: Packet, dst_ip: str, hop: float,
+                             forward_start: float) -> None:
+        """Continuation: the redirected read reached the replica server."""
         add_hop_latency(pkt, hop)
         trace = pkt.payload.get("trace")
         if trace is not None:

@@ -6,20 +6,33 @@ queued request -- this is precisely the head-of-line blocking that
 RackBlox's coordinated GC routes around.
 """
 
-from typing import Generator
+from collections import deque
+from typing import Callable, Deque, Generator, Optional, Tuple
 
-from repro.sim import Resource, Simulator, Timeout
+from repro.sim import Simulator, until_done
 from repro.flash.timing import DeviceProfile
+
+#: One bus command: (kind, duration in us, completion callback).
+Command = Tuple[str, float, Callable[[], None]]
 
 
 class Channel:
-    """One channel as a capacity-1 resource with timed operations."""
+    """One channel: a FIFO of timed commands served one at a time.
+
+    :meth:`submit` is the one implementation.  Host I/O drives it with
+    callbacks; GC, the scrubber and fault injection use the generator
+    wrappers (:meth:`execute`, :meth:`read_page`, ...), which queue their
+    commands in the same FIFO.
+    """
 
     def __init__(self, sim: Simulator, channel_id: int, profile: DeviceProfile) -> None:
         self.sim = sim
         self.channel_id = channel_id
         self.profile = profile
-        self._bus = Resource(sim, capacity=1)
+        #: The command holding the bus, or None while the channel is idle.
+        self._current: Optional[Command] = None
+        #: Commands waiting for the bus, oldest first.
+        self._waiting: Deque[Command] = deque()
         #: Accumulated busy time, for utilisation reporting.
         self.busy_time = 0.0
         #: Commands served, by kind.
@@ -49,30 +62,54 @@ class Channel:
     @property
     def queue_depth(self) -> int:
         """Commands waiting for the bus (excludes the one in service)."""
-        return self._bus.queued
+        return len(self._waiting)
 
     @property
     def busy(self) -> bool:
-        return self._bus.in_use > 0
+        return self._current is not None
+
+    def submit(self, kind: str, duration: float, on_done: Callable[[], None]) -> None:
+        """Occupy the channel for ``duration`` us once the commands queued
+        ahead have finished; ``on_done()`` runs when this one leaves the
+        bus (after the next queued command has taken it)."""
+        command = (kind, duration, on_done)
+        if self._current is None:
+            self._current = command
+            self.sim.schedule_after(duration, self._finish)
+        else:
+            self._waiting.append(command)
+
+    def _finish(self) -> None:
+        kind, duration, on_done = self._current
+        self.busy_time += duration
+        if kind in self.op_counts:
+            self.op_counts[kind] += 1
+        if self._waiting:
+            self._current = following = self._waiting.popleft()
+            self.sim.schedule_after(following[1], self._finish)
+        else:
+            self._current = None
+        on_done()
+
+    def read_page_then(self, size_kb: float, on_done: Callable[[], None]) -> None:
+        """Callback form of :meth:`read_page`."""
+        self.submit("read", self.profile.read_latency(size_kb), on_done)
+
+    def program_page_then(self, size_kb: float, on_done: Callable[[], None]) -> None:
+        """Callback form of :meth:`program_page`."""
+        self.submit("program", self.profile.program_latency(size_kb), on_done)
 
     def execute(self, kind: str, duration: float) -> Generator:
         """Process: occupy the channel for ``duration`` microseconds."""
-        yield self._bus.acquire()
-        try:
-            yield Timeout(self.sim, duration)
-            self.busy_time += duration
-            if kind in self.op_counts:
-                self.op_counts[kind] += 1
-        finally:
-            self._bus.release()
+        return until_done(self.sim, lambda done: self.submit(kind, duration, done))
 
     def read_page(self, size_kb: float) -> Generator:
         """Process: one page read (array sense + bus transfer)."""
-        return self.execute("read", self.profile.read_latency(size_kb))
+        return until_done(self.sim, lambda done: self.read_page_then(size_kb, done))
 
     def program_page(self, size_kb: float) -> Generator:
         """Process: one page program (bus transfer + array program)."""
-        return self.execute("program", self.profile.program_latency(size_kb))
+        return until_done(self.sim, lambda done: self.program_page_then(size_kb, done))
 
     def erase_block(self) -> Generator:
         """Process: one block erase (suspendable when configured).
@@ -90,13 +127,10 @@ class Channel:
         remaining = self.profile.erase_us
         while remaining > 0:
             this_slice = min(self.suspend_slice_us, remaining)
-            yield self._bus.acquire()
-            try:
-                yield Timeout(self.sim, this_slice)
-                self.busy_time += this_slice
-            finally:
-                must_yield = remaining > this_slice and self._bus.queued > 0
-                self._bus.release()
+            yield from self.execute("erase-slice", this_slice)
+            # The bus is busy again right after a slice exactly when a
+            # command was waiting for it: that command took the bus.
+            must_yield = remaining > this_slice and self.busy
             remaining -= this_slice
             if remaining > 0 and must_yield:
                 # Someone was waiting: the erase actually suspended and

@@ -111,9 +111,14 @@ class GcMonitor:
             return
         kind = vssd.gc_needed()
         if kind is None:
+            # The idle forecast is two field reads; the stale-block test
+            # walks blocks, so it runs only when the forecast says idle.
             predictor = self.idle_predictors.get(vssd.vssd_id)
-            has_stale = vssd.ftl.select_victim() is not None
-            if predictor is not None and predictor.should_background_gc() and has_stale:
+            if (
+                predictor is not None
+                and predictor.should_background_gc()
+                and vssd.ftl.has_stale_block()
+            ):
                 kind = "bg"
         if kind is None:
             return

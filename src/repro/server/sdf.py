@@ -7,7 +7,8 @@ return-latency predictor from the INT field of every incoming packet and
 exposes per-request hooks the rack uses to time responses.
 """
 
-from typing import Callable, Dict, Generator, Optional
+from collections import deque
+from typing import Callable, Deque, Dict, Optional
 
 from repro.errors import ConfigError
 from repro.net.packet import OpType, Packet
@@ -15,7 +16,7 @@ from repro.server.idle import IdlePredictor
 from repro.server.iosched import IoRequest
 from repro.server.predictor import ReturnLatencyPredictor
 from repro.server.write_cache import WriteCache
-from repro.sim import Event, Simulator
+from repro.sim import Simulator
 from repro.vssd.vssd import VSsd
 
 
@@ -68,7 +69,8 @@ class StorageServer:
         #: the scheduler's selection scans skip the per-candidate check in
         #: the common uncongested case.
         self._vssd_blocked: set = set()
-        self._work: Optional[Event] = None
+        #: Dispatched requests awaiting their service-start tick, FIFO.
+        self._starting: Deque[IoRequest] = deque()
         self.reads_received = 0
         self.writes_received = 0
         self.reads_completed = 0
@@ -79,7 +81,6 @@ class StorageServer:
         # Route cache flushes through this server's scheduler, so
         # background writes contend with reads like any other request.
         self.write_cache.submit_fn = self._submit_flush
-        sim.spawn(self._dispatch_loop())
 
     # ----------------------------------------------------------- topology
 
@@ -118,7 +119,7 @@ class StorageServer:
         """Entry point from the rack: Algorithm 2 dispatch."""
         if pkt.op is OpType.WRITE:
             self.writes_received += 1
-            self.sim.spawn(self._handle_write(pkt))
+            self._handle_write(pkt)
         elif pkt.op is OpType.READ:
             self.reads_received += 1
             self._handle_read(pkt)
@@ -127,15 +128,18 @@ class StorageServer:
                 f"server {self.name} received unexpected op {pkt.op.name}"
             )
 
-    def _handle_write(self, pkt: Packet) -> Generator:
+    def _handle_write(self, pkt: Packet) -> None:
         vssd = self.vssd(pkt.vssd_id)
         self.predictor.observe(pkt.vssd_id, "write", pkt.lat)
         self.idle_predictors[pkt.vssd_id].record_request(self.sim.now)
-        lpn = pkt.payload.get("lpn", 0)
         arrived = self.sim.now
-        # Line 2-4: cache the write (blocking only when the cache is full);
+        # Line 2-4: cache the write (waiting only when the cache is full);
         # the write is complete once the DRAM copy exists.
-        yield from self.write_cache.admit(vssd, lpn)
+        self.write_cache.admit_then(
+            vssd, pkt.payload.get("lpn", 0), lambda: self._write_cached(pkt, arrived)
+        )
+
+    def _write_cached(self, pkt: Packet, arrived: float) -> None:
         trace = pkt.payload.get("trace")
         if trace is not None:
             trace.add_span(
@@ -172,9 +176,9 @@ class StorageServer:
         self.scheduler.push(request, self.sim.now)
         self._kick()
 
-    def _submit_flush(self, vssd: VSsd, lpn: int) -> Event:
-        """Queue one cache flush as a write request; returns its completion."""
-        done = Event(self.sim)
+    def _submit_flush(self, vssd: VSsd, lpn: int, on_done: Callable[[], None]) -> None:
+        """Queue one cache flush as a write request; ``on_done()`` runs
+        once it is on flash."""
         request = IoRequest(
             kind="write",
             vssd_id=vssd.vssd_id,
@@ -182,17 +186,26 @@ class StorageServer:
             arrival_time=self.sim.now,
             net_time=0.0,
             predict_time=self.predictor.predict(vssd.vssd_id, "write"),
-            context=done,
+            context=on_done,
         )
         self.scheduler.push(request, self.sim.now)
         self._kick()
-        return done
 
     # ------------------------------------------------------------- dispatch
 
     def _kick(self) -> None:
-        if self._work is not None and not self._work.triggered:
-            self._work.succeed()
+        """Dispatch queued requests while the in-flight limits allow."""
+        while self._inflight < self.max_inflight:
+            eligible = self._dispatchable if self._vssd_blocked else None
+            request = self.scheduler.pop(self.sim.now, eligible)
+            if request is None:
+                return
+            self._inflight += 1
+            self._vssd_acquire(request.vssd_id)
+            # Service starts on the next tick: requests dispatched at one
+            # instant start after the work already scheduled for it.
+            self._starting.append(request)
+            self.sim.schedule_after(0.0, self._start_service)
 
     def _dispatchable(self, request: IoRequest) -> bool:
         return request.vssd_id not in self._vssd_blocked
@@ -207,24 +220,8 @@ class StorageServer:
         self._vssd_inflight[vssd_id] -= 1
         self._vssd_blocked.discard(vssd_id)
 
-    def _dispatch_loop(self) -> Generator:
-        while True:
-            dispatched = False
-            while self._inflight < self.max_inflight:
-                eligible = self._dispatchable if self._vssd_blocked else None
-                request = self.scheduler.pop(self.sim.now, eligible)
-                if request is None:
-                    break
-                self._inflight += 1
-                self._vssd_acquire(request.vssd_id)
-                dispatched = True
-                self.sim.spawn(self._service(request))
-            if not dispatched or self._inflight >= self.max_inflight:
-                self._work = Event(self.sim)
-                yield self._work
-                self._work = None
-
-    def _service(self, request: IoRequest) -> Generator:
+    def _start_service(self) -> None:
+        request = self._starting.popleft()
         vssd = self.vssd(request.vssd_id)
         trace = None
         context = request.context
@@ -238,15 +235,20 @@ class StorageServer:
                 )
         service_start = self.sim.now
         gc_seen = vssd.gc_active
-        try:
-            if request.kind == "read":
-                yield from vssd.read(request.lpn)
-            else:
-                yield from vssd.write(request.lpn)
-        finally:
-            self._inflight -= 1
-            self._vssd_release(request.vssd_id)
-            self._kick()
+
+        def served() -> None:
+            self._served(request, vssd, service_start, gc_seen, trace)
+
+        if request.kind == "read":
+            vssd.read_then(request.lpn, served)
+        else:
+            vssd.write_then(request.lpn, served)
+
+    def _served(self, request: IoRequest, vssd: VSsd, service_start: float,
+                gc_seen: bool, trace) -> None:
+        self._inflight -= 1
+        self._vssd_release(request.vssd_id)
+        self._kick()
         gc_seen = gc_seen or vssd.gc_active
         if request.kind == "read" and gc_seen:
             self.gc_blocked_reads += 1
@@ -266,9 +268,7 @@ class StorageServer:
                 self._respond(response)
         else:
             self.flushes_completed += 1
-            done = request.context
-            if isinstance(done, Event) and not done.triggered:
-                done.succeed()
+            request.context()
 
     def _respond(self, response: Packet) -> None:
         if self.respond_fn is not None:

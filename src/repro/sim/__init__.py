@@ -12,7 +12,7 @@ network links) is expressed on top of it.
 
 from repro.sim.core import Simulator
 from repro.sim.events import AllOf, AnyOf, Event, Interrupt, Timeout
-from repro.sim.process import Process
+from repro.sim.process import Process, until_done
 from repro.sim.resources import PriorityStore, Resource, Store
 from repro.sim.rng import RandomSource
 
@@ -28,4 +28,5 @@ __all__ = [
     "Store",
     "PriorityStore",
     "RandomSource",
+    "until_done",
 ]

@@ -81,14 +81,18 @@ class Event:
 class Timeout(Event):
     """An event that fires ``delay`` microseconds after creation."""
 
-    __slots__ = ("delay",)
+    __slots__ = ("delay", "_payload")
 
     def __init__(self, sim, delay: float, value: Any = None) -> None:
         super().__init__(sim)
         if delay < 0:
             raise SimulationError(f"negative timeout {delay!r}")
         self.delay = delay
-        sim.schedule_after(delay, lambda: self.succeed(value))
+        self._payload = value
+        sim.schedule_after(delay, self._expire)
+
+    def _expire(self) -> None:
+        self.succeed(self._payload)
 
 
 class AllOf(Event):

@@ -11,7 +11,7 @@ A *process function* is a generator that yields waitables::
 wait on each other by yielding the other process.
 """
 
-from typing import Any, Generator
+from typing import Any, Callable, Generator
 
 from repro.errors import SimulationError
 from repro.sim.events import Event, Interrupt
@@ -123,3 +123,18 @@ class _WaitBinding:
 
     def _detach(self, _process: Process) -> None:
         self.active = False
+
+
+def until_done(sim, start: Callable[[Callable[[], Any]], None]) -> Generator:
+    """Process body over a callback-form operation.
+
+    ``start(done)`` begins the operation and arranges for ``done()`` to be
+    called once it completes; the body returns at that moment.  This is
+    how the generator APIs (``VSsd.read``, ``Channel.execute``, ...) stay
+    thin wrappers over the one callback implementation the request path
+    drives directly.
+    """
+    finished = Event(sim)
+    start(finished.succeed)
+    if not finished.triggered:
+        yield finished

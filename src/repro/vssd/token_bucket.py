@@ -6,10 +6,10 @@ rate, so a tenant exceeding its share is delayed rather than starving
 neighbours.
 """
 
-from typing import Generator
+from typing import Callable, Generator
 
 from repro.errors import ConfigError
-from repro.sim import Simulator, Timeout
+from repro.sim import Simulator, until_done
 
 
 class TokenBucket:
@@ -66,8 +66,15 @@ class TokenBucket:
         self.total_delay_us += wait
         return wait
 
-    def throttle(self, amount: float) -> Generator:
-        """Process: block until ``amount`` tokens are granted."""
+    def throttle_then(self, amount: float, then: Callable[[], None]) -> None:
+        """Run ``then()`` once ``amount`` tokens are granted (at once when
+        the bucket covers them)."""
         wait = self.delay_for(amount)
         if wait > 0:
-            yield Timeout(self.sim, wait)
+            self.sim.schedule_after(wait, then)
+        else:
+            then()
+
+    def throttle(self, amount: float) -> Generator:
+        """Process: :meth:`throttle_then`, waited on."""
+        return until_done(self.sim, lambda done: self.throttle_then(amount, done))

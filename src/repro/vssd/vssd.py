@@ -1,19 +1,21 @@
 """The vSSD: a virtual SSD instance with its own FTL and GC.
 
-Reads and writes are timed processes that occupy the backing flash
+Reads and writes are timed channel commands (callback form, with
+generator wrappers for process code) that occupy the backing flash
 channels; GC occupies the victim's channel for the duration of its page
 migrations and erase, producing exactly the head-of-line blocking the
 paper's coordinated GC is designed to hide.
 """
 
 import enum
-from typing import Generator, List, Optional
+from typing import Callable, Generator, List, Optional
 
 from repro.errors import VSSDError
 from repro.flash.chip import FlashChip
 from repro.flash.ftl import PageMappedFtl
 from repro.flash.gc import GreedyGcPolicy
 from repro.flash.ssd import Ssd
+from repro.sim import until_done
 from repro.vssd.token_bucket import TokenBucket
 
 
@@ -79,10 +81,31 @@ class VSsd:
 
     # ------------------------------------------------------------------- I/O
 
+    def read_then(self, lpn: int, on_done: Callable[[], None]) -> None:
+        """Read one logical page, including channel queueing; ``on_done()``
+        runs once the channel has served it."""
+        if self.rate_limiter is None:
+            self._read_page(lpn, on_done)
+        else:
+            self.rate_limiter.throttle_then(1, lambda: self._read_page(lpn, on_done))
+
+    def write_then(self, lpn: int, on_done: Callable[[], None]) -> None:
+        """Program one logical page out-of-place; ``on_done()`` runs once
+        the program has left the channel."""
+        if self.rate_limiter is None:
+            self._write_page(lpn, on_done)
+        else:
+            self.rate_limiter.throttle_then(1, lambda: self._write_page(lpn, on_done))
+
     def read(self, lpn: int) -> Generator:
-        """Process: read one logical page, including channel queueing."""
-        if self.rate_limiter is not None:
-            yield from self.rate_limiter.throttle(1)
+        """Process: :meth:`read_then`, waited on."""
+        return until_done(self.sim, lambda done: self.read_then(lpn, done))
+
+    def write(self, lpn: int) -> Generator:
+        """Process: :meth:`write_then`, waited on."""
+        return until_done(self.sim, lambda done: self.write_then(lpn, done))
+
+    def _read_page(self, lpn: int, on_done: Callable[[], None]) -> None:
         addr = self.ftl.lookup(lpn)
         if addr is None:
             # Unwritten page: the device still performs an array read (it
@@ -90,19 +113,22 @@ class VSsd:
             chip = self.ftl.chips[lpn % len(self.ftl.chips)]
         else:
             chip = addr.chip
-        channel = self.ssd.channel_of_chip(chip)
-        yield from channel.read_page(self.page_kb)
-        self.reads_served += 1
 
-    def write(self, lpn: int) -> Generator:
-        """Process: program one logical page out-of-place."""
-        if self.rate_limiter is not None:
-            yield from self.rate_limiter.throttle(1)
+        def served() -> None:
+            self.reads_served += 1
+            on_done()
+
+        self.ssd.channel_of_chip(chip).read_page_then(self.page_kb, served)
+
+    def _write_page(self, lpn: int, on_done: Callable[[], None]) -> None:
         addr = self.ftl.place_write(lpn)
-        channel = self.ssd.channel_of_chip(addr.chip)
-        yield from channel.program_page(self.page_kb)
-        self.ssd.pages_written += 1
-        self.writes_served += 1
+
+        def programmed() -> None:
+            self.ssd.pages_written += 1
+            self.writes_served += 1
+            on_done()
+
+        self.ssd.channel_of_chip(addr.chip).program_page_then(self.page_kb, programmed)
 
     # -------------------------------------------------------------------- GC
 

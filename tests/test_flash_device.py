@@ -113,6 +113,39 @@ class TestChannel:
         assert channel.op_counts["program"] == 1
         assert channel.utilization(sim.now) == pytest.approx(1.0)
 
+    def test_callback_and_generator_commands_share_one_fifo(self):
+        sim = Simulator()
+        channel = Channel(sim, 0, PSSD)
+        order = []
+        read = PSSD.read_latency(4.0)
+
+        def gc_erase():
+            yield from channel.erase_block()
+            order.append(("erase", sim.now))
+
+        channel.read_page_then(4.0, lambda: order.append(("read", sim.now)))
+        sim.spawn(gc_erase())  # queues at its start tick, behind the read
+        sim.call_after(1.0, lambda: channel.program_page_then(
+            4.0, lambda: order.append(("program", sim.now))))
+        sim.run()
+        assert [kind for kind, _ in order] == ["read", "erase", "program"]
+        assert [t for _, t in order] == pytest.approx([
+            read, read + PSSD.erase_us,
+            read + PSSD.erase_us + PSSD.program_latency(4.0),
+        ])
+        assert channel.op_counts == {"read": 1, "program": 1, "erase": 1}
+        assert not channel.busy and channel.queue_depth == 0
+
+    def test_next_command_starts_before_the_previous_completion_runs(self):
+        sim = Simulator()
+        channel = Channel(sim, 0, PSSD)
+        seen = []
+        channel.submit("read", 10.0, lambda: seen.append(channel.busy))
+        channel.submit("read", 10.0, lambda: seen.append(channel.busy))
+        sim.run()
+        # The first completion sees the bus already handed on.
+        assert seen == [True, False]
+
     def test_queue_depth_visible(self):
         sim = Simulator()
         channel = Channel(sim, 0, PSSD)

@@ -102,6 +102,20 @@ class TestGreedyGc:
         ftl = make_ftl()
         assert ftl.select_victim() is None
 
+    def test_has_stale_block_agrees_with_select_victim(self):
+        ftl = make_ftl(chips=2, blocks=8, pages=4)
+        policy = GreedyGcPolicy()
+        seen = set()
+        # Overwrites inside the active block, then across blocks, then GC.
+        for step, lpn in enumerate([0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 0, 1, 2, 3] * 3):
+            ftl.place_write(lpn)
+            if step % 9 == 8:
+                policy.collect_once(ftl)
+            expected = ftl.select_victim() is not None
+            assert ftl.has_stale_block() is expected
+            seen.add(expected)
+        assert seen == {True, False}
+
     def test_victim_has_most_invalids(self):
         ftl = make_ftl(chips=1, blocks=8, pages=4)
         # Fill 3 blocks; then invalidate different amounts via overwrites.

@@ -169,6 +169,57 @@ class TestEgressPort:
         sim.run()
         assert seen == [(p.packet_id, 2.0)]
 
+    def test_idle_port_starts_a_packet_at_once(self):
+        sim = Simulator()
+        sim.run(until=50.0)
+        port = EgressPort(sim, FifoScheduler(), rate_kb_per_us=1.0)
+        done = port.enqueue(pkt(size_kb=3.0))
+        # On the wire already: the only pending event is its completion.
+        assert sim.pending_count == 1
+        assert sim.peek() == pytest.approx(53.0)
+        sim.run()
+        assert done.triggered and sim.now == pytest.approx(53.0)
+
+    def test_busy_port_starts_next_at_previous_finish(self):
+        sim = Simulator()
+        port = EgressPort(sim, FifoScheduler(), rate_kb_per_us=1.0)
+        finished = []
+        port.enqueue(pkt(size_kb=4.0)).add_callback(
+            lambda ev: finished.append(sim.now))
+        # Arrives mid-transmission: waits for the wire, not for an event.
+        sim.call_after(1.0, lambda: port.enqueue(pkt(size_kb=2.0)).add_callback(
+            lambda ev: finished.append(sim.now)))
+        sim.run()
+        assert finished == pytest.approx([4.0, 6.0])
+        assert port.packets_sent == 2
+
+    def test_completion_callback_can_enqueue_on_the_same_port(self):
+        sim = Simulator()
+        port = EgressPort(sim, FifoScheduler(), rate_kb_per_us=1.0)
+        finished = []
+
+        def resend(ev):
+            finished.append(sim.now)
+            if len(finished) < 3:
+                port.enqueue(pkt(size_kb=1.0)).add_callback(resend)
+
+        port.enqueue(pkt(size_kb=1.0)).add_callback(resend)
+        sim.run()
+        assert finished == pytest.approx([1.0, 2.0, 3.0])
+
+    def test_token_bucket_pacing_times(self):
+        sim = Simulator()
+        sched = TokenBucketScheduler(flow_rate_kb_per_sec=1000.0, burst_kb=4.0)
+        port = EgressPort(sim, sched, rate_kb_per_us=100.0)
+        finished = []
+        for _ in range(3):
+            port.enqueue(pkt(size_kb=4.0), flow_id="f").add_callback(
+                lambda ev: finished.append(sim.now))
+        sim.run()
+        # The burst covers the first; tokens then refill at 4 KB per 4 ms,
+        # and each packet's 0.04 us on the wire overlaps that refill.
+        assert finished == pytest.approx([0.04, 4000.04, 8000.04])
+
     def test_invalid_rate(self):
         sim = Simulator()
         with pytest.raises(ConfigError):

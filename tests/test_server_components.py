@@ -181,6 +181,22 @@ class TestWriteCache:
         # The stalled writes completed later than the cached ones.
         assert max(responses) > min(responses)
 
+    def test_eight_page_cache_stalls_a_burst_and_acks_every_write(self):
+        sim, server, vssd = make_server(cache_pages=8)
+        acked = []
+        server.respond_fn = lambda pkt, srv: acked.append(pkt.payload["lpn"])
+        for lpn in range(40):
+            pkt = write_request(vssd.vssd_id, "client", server.ip, 0.0)
+            pkt.payload["lpn"] = lpn
+            server.receive_packet(pkt)
+        assert len(acked) == 8  # the rest wait for flushes to free slots
+        sim.run(until=500 * MSEC)
+        cache = server.write_cache
+        assert cache.full_stalls > 0
+        assert sorted(acked) == list(range(40))
+        assert cache.flushes == 40 and vssd.writes_served == 40
+        assert cache.dirty_pages == 0 and cache.occupancy == 0.0
+
     def test_validation(self):
         sim = Simulator()
         with pytest.raises(ConfigError):
@@ -223,6 +239,31 @@ class TestStorageServerReads:
         sim.run(until=1.0)
         # Only 2 dispatched; 4 still queued.
         assert server.queue_depth() == 4
+
+    def test_single_slot_dispatches_each_queued_request_once(self):
+        sim, server, vssd = make_server(max_inflight=1)
+        popped = []
+        pop = server.scheduler.pop
+
+        def counting_pop(now, eligible=None):
+            request = pop(now, eligible)
+            if request is not None:
+                popped.append(request.lpn)
+            return request
+
+        server.scheduler.pop = counting_pop
+        responses = []
+        server.respond_fn = lambda pkt, srv: responses.append(pkt.payload["lpn"])
+        for lpn in range(5):
+            pkt = read_request(vssd.vssd_id, "client", server.ip, 0.0)
+            pkt.payload["lpn"] = lpn
+            server.receive_packet(pkt)
+        assert popped == [0]  # one slot: the rest wait in the scheduler
+        sim.run(until=10 * MSEC)
+        # Each completion kicks exactly one more dispatch.
+        assert popped == [0, 1, 2, 3, 4]
+        assert responses == [0, 1, 2, 3, 4]
+        assert server.reads_completed == 5 and server.queue_depth() == 0
 
     def test_unknown_vssd_rejected(self):
         sim, server, vssd = make_server()
